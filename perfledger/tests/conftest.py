@@ -1,0 +1,12 @@
+"""perfledger's own tests; run with ``python -m pytest perfledger/tests``.
+
+Tier-1 (``testpaths = tests``) does not collect this directory.
+"""
+
+import os
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (REPO, os.path.join(REPO, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
