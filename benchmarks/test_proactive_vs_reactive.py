@@ -43,7 +43,7 @@ def _run_fec(rate, traces, duration, seed):
         loop, emulator, build_paths(emulator, BbrController), FecConfig(redundancy_rate=rate)
     )
     cfg = VideoConfig(bitrate_mbps=20.0, seed=seed + 1)
-    source = VideoSource(loop, lambda p, f: client.send_app_packet(p, f), cfg)
+    source = VideoSource(loop, client.send_app_burst, cfg)
     source.start(first_delay=0.01)
     loop.run_until(duration)
     source.stop()

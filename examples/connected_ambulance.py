@@ -50,7 +50,7 @@ def main() -> None:
     client = XncTunnelClient(loop, emulator, build_paths(emulator, BbrController), XncConfig())
 
     video_cfg = VideoConfig(bitrate_mbps=8.0, fps=30.0, seed=seed)
-    camera = VideoSource(loop, lambda p, f: client.send_app_packet(p, f), video_cfg)
+    camera = VideoSource(loop, client.send_app_burst, video_cfg)
     camera.start(first_delay=0.01)
 
     vitals_sent = [0]

@@ -98,7 +98,7 @@ def control_loop_demo(duration: float, seed: int) -> None:
                                  on_downlink_packet=on_command)
     video = VideoConfig(bitrate_mbps=TOD_BITRATE, fps=30.0, seed=seed)
     from repro.video.source import VideoSource
-    camera = VideoSource(loop, lambda p, f: tunnel.send_up(p, f), video)
+    camera = VideoSource(loop, lambda burst, f: [tunnel.send_up(p, f) for p in burst], video)
     camera.start(first_delay=0.01)
     sent = [0]
 

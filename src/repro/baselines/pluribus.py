@@ -119,9 +119,10 @@ class PluribusTunnelClient(TunnelClientBase):
 
     # -- loss estimation -------------------------------------------------------
 
-    def _on_app_acked(self, app_ids, info: SentInfo) -> None:
+    def _on_app_acked(self, infos) -> None:
         a = self.config.loss_ewma
-        self.loss_estimate = (1 - a) * self.loss_estimate
+        for _ in infos:
+            self.loss_estimate = (1 - a) * self.loss_estimate
 
     def _on_cc_lost(self, info: SentInfo, now: float) -> None:
         a = self.config.loss_ewma
@@ -145,7 +146,7 @@ class PluribusTunnelClient(TunnelClientBase):
         start, count = self._block_start, self._block_count
         self._block_start = None
         repairs = self._repair_count(count)
-        paths = [p for p in self.paths.usable(self.loop.now)] or self.paths.all()
+        paths = self.paths.usable(self.loop.now) or self.paths.all()
         for i in range(repairs):
             seed = self._rng.randrange(1, 2 ** 32)
             try:

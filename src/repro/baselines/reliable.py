@@ -24,7 +24,13 @@ from ..emulation.emulator import MultipathEmulator
 from ..emulation.events import EventLoop
 from ..multipath.path import PathManager
 from ..multipath.scheduler.base import Scheduler
-from ..transport.base import AppPacket, SentInfo, TunnelClientBase, TunnelServerBase
+from ..transport.base import (
+    FIRST_TX_OVERHEAD,
+    AppPacket,
+    SentInfo,
+    TunnelClientBase,
+    TunnelServerBase,
+)
 
 __all__ = [
     "ReliableTunnelClient",
@@ -59,13 +65,14 @@ class ReliableTunnelClient(TunnelClientBase):
     def _build_frame(self, pkt: AppPacket) -> XncNcFrame:
         return XncNcFrame.original(pkt.packet_id, frame_payload(pkt.payload))
 
-    def _on_app_acked(self, app_ids, info: SentInfo) -> None:
-        for app_id in app_ids:
-            if app_id in self._delivered:
-                continue
-            self._delivered.add(app_id)
-            self._payloads.pop(app_id, None)
-            self._retx_queued.discard(app_id)
+    def _on_app_acked(self, infos) -> None:
+        for info in infos:
+            for app_id in info.app_ids:
+                if app_id in self._delivered:
+                    continue
+                self._delivered.add(app_id)
+                self._payloads.pop(app_id, None)
+                self._retx_queued.discard(app_id)
 
     def _has_pending_work(self) -> bool:
         # undelivered payloads await either first transmission or a
@@ -82,28 +89,28 @@ class ReliableTunnelClient(TunnelClientBase):
             self._retx_queued.add(app_id)
             self._retx.append(app_id)
 
-    def _pump(self) -> None:
-        if self.closed:
-            return
+    def _drain_retx(self, usable, now: float) -> bool:
         # retransmissions first (TCP semantics), then fresh data
-        while self._retx:
-            app_id = self._retx[0]
-            if app_id in self._delivered or app_id not in self._payloads:
-                self._retx.popleft()
+        retx = self._retx
+        while retx:
+            app_id = retx[0]
+            pkt = self._payloads.get(app_id)
+            if pkt is None:  # delivered while it waited
+                retx.popleft()
                 self._retx_queued.discard(app_id)
                 continue
-            pkt = self._payloads[app_id]
-            frame = self._build_frame(pkt)
-            targets = self.scheduler.select(self.paths.all(), frame.wire_size + 56, self.loop.now)
+            targets = self.scheduler.select(usable, len(pkt.payload) + FIRST_TX_OVERHEAD, now)
             if not targets:
-                return
-            self._retx.popleft()
+                return True
+            retx.popleft()
             self._retx_queued.discard(app_id)
+            frame = self._build_frame(pkt)
+            app_ids = (app_id,)
             for i, path in enumerate(targets):
                 self._transmit_frame(
-                    path, frame, (app_id,), is_recovery=False, is_dup=i > 0, is_retx=i == 0
+                    path, frame, app_ids, is_recovery=False, is_dup=i > 0, is_retx=i == 0
                 )
-        super()._pump()
+        return False
 
 
 class InOrderTunnelServer(TunnelServerBase):

@@ -76,7 +76,6 @@ class XncConfig:
 @dataclass
 class _AppMeta:
     frame_id: Optional[int]
-    first_sent: float
     delivered: bool = False
     forgotten: bool = False
 
@@ -111,29 +110,19 @@ class XncTunnelClient(TunnelClientBase):
     # -- ingress / first transmission -----------------------------------------
 
     def _on_app_packet_queued(self, pkt: AppPacket) -> None:
-        self.encoder.register(pkt.packet_id, pkt.payload, self.loop.now)
-        self._pool_order.append((pkt.packet_id, self.loop.now))
+        now = self.loop.now
+        self.encoder.register(pkt.packet_id, pkt.payload, now)
+        self._pool_order.append((pkt.packet_id, now))
         frame_id = pkt.frame_id
         if frame_id is None and self.config.sniff_rtp:
             from ..video.rtp import sniff_frame_id
 
             frame_id = sniff_frame_id(pkt.payload)
-        self._app_meta[pkt.packet_id] = _AppMeta(frame_id, self.loop.now)
+        self._app_meta[pkt.packet_id] = _AppMeta(frame_id)
 
     def _build_frame(self, pkt: AppPacket) -> XncNcFrame:
         framed = self.encoder.encode(pkt.packet_id, 1, 0)
         return XncNcFrame.original(pkt.packet_id, framed)
-
-    def _transmit_frame(self, path, frame, app_ids, is_recovery, is_dup=False,
-                        is_retx=False, is_probe=False):
-        info = super()._transmit_frame(path, frame, app_ids, is_recovery,
-                                       is_dup, is_retx, is_probe)
-        if not is_recovery:
-            for app_id in app_ids:
-                meta = self._app_meta.get(app_id)
-                if meta is not None:
-                    meta.first_sent = info.sent_time
-        return info
 
     def _queue_entry_stale(self, pkt: AppPacket, now: float) -> bool:
         # a packet queued past t_expire is stale video; sending it would
@@ -148,26 +137,30 @@ class XncTunnelClient(TunnelClientBase):
 
     # -- delivery / QoE loss detection -----------------------------------------
 
-    def _on_app_acked(self, app_ids: Sequence[int], info: SentInfo) -> None:
-        for app_id in app_ids:
-            meta = self._app_meta.get(app_id)
-            if meta is None or meta.delivered:
-                continue
-            meta.delivered = True
-            self.retrans_queue.discard(app_id)
-            self.encoder.release(app_id)
+    def _on_app_acked(self, infos: Sequence[SentInfo]) -> None:
+        for info in infos:
+            for app_id in info.app_ids:
+                meta = self._app_meta.get(app_id)
+                if meta is None or meta.delivered:
+                    continue
+                meta.delivered = True
+                self.retrans_queue.discard(app_id)
+                self.encoder.release(app_id)
 
     def _qoe_scan(self, now: float) -> None:
         """Mark overdue in-flight packets lost per min(app_threshold, PTO)."""
         tel = self.telemetry
         for path in self.paths:
+            sent_map = self._sent[path.path_id]
+            if not sent_map:
+                continue
             threshold = self.config.loss_policy.threshold(*path.rtt.as_tuple())
             # iterate the sent map directly (in_flight_infos would build a
             # throwaway list per path per tick); nothing below mutates it.
             # Entries are insertion-ordered by pn with non-decreasing
             # sent_time, so the first not-yet-overdue packet ends the scan:
             # everything after it is younger still.
-            for info in self._sent[path.path_id].values():
+            for info in sent_map.values():
                 if now - info.sent_time < threshold:
                     break
                 if info.acked or info.cc_lost or info.is_recovery or info.qoe_fired:
@@ -213,6 +206,8 @@ class XncTunnelClient(TunnelClientBase):
         return budgets
 
     def _attempt_recoveries(self, now: float) -> None:
+        if not len(self.retrans_queue):
+            return  # nothing awaiting recovery: nothing to expire or plan
         tel = self.telemetry
         stale = self.retrans_queue.expire(now)
         if stale:
@@ -312,8 +307,10 @@ class XncTunnelClient(TunnelClientBase):
         horizon = self.config.range_policy.t_expire * 2 + 0.5
         while self._pool_order and now - self._pool_order[0][1] > horizon:
             app_id, _t = self._pool_order.popleft()
-            self.encoder.release(app_id)
-            self._app_meta.pop(app_id, None)
+            meta = self._app_meta.pop(app_id, None)
+            if meta is None or not meta.delivered:
+                # a delivered packet left the pool when its ACK arrived
+                self.encoder.release(app_id)
 
 
 class XncTunnelServer(TunnelServerBase):
@@ -340,29 +337,31 @@ class XncTunnelServer(TunnelServerBase):
 
     def _handle_frame(self, path_id: int, frame: XncNcFrame, now: float) -> None:
         h = frame.header
-        key = (h.start_id, h.packet_count)
+        count = h.packet_count
         tel = self.telemetry
-        if h.is_coded and key not in self._range_first_seen:
-            self._range_first_seen[key] = now
-            if tel.enabled:
-                sp = tel.spans
-                if sp.enabled:
-                    # decode span: first coded symbol of the range seen ->
-                    # first successful decode; `cause` links back to the
-                    # client's recovery range (same recorder per run)
-                    sid = sp.open("decode", now, start_id=h.start_id,
-                                  count=h.packet_count,
-                                  cause=sp.lookup("range", key))
-                    sp.bind("decode", key, sid)
-        decoded_any = False
-        for packet_id, payload in self.decoder.push(h.start_id, h.packet_count, h.random_seed, frame.payload):
-            decoded_any = True
+        key = None
+        if count > 1:
+            key = (h.start_id, count)
+            if key not in self._range_first_seen:
+                self._range_first_seen[key] = now
+                if tel.enabled:
+                    sp = tel.spans
+                    if sp.enabled:
+                        # decode span: first coded symbol of the range seen
+                        # -> first successful decode; `cause` links back to
+                        # the client's recovery range (same recorder per run)
+                        sid = sp.open("decode", now, start_id=h.start_id,
+                                      count=count,
+                                      cause=sp.lookup("range", key))
+                        sp.bind("decode", key, sid)
+        decoded = self.decoder.push(h.start_id, count, h.random_seed, frame.payload)
+        for packet_id, payload in decoded:
             if tel.enabled:
                 tel.event(now, ev.DECODED, packet_id, path_id,
-                          coded=bool(h.is_coded))
+                          coded=key is not None)
                 tel.count("server.decoded")
             self.on_app_packet(packet_id, payload, now)
-        if decoded_any and h.is_coded and tel.enabled:
+        if decoded and key is not None and tel.enabled:
             sp = tel.spans
             if sp.enabled:
                 sp.close(sp.lookup("decode", key), now, outcome="decoded")

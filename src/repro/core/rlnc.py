@@ -93,12 +93,8 @@ def frame_payload(payload: bytes) -> bytes:
 
 
 def unframe_payload(data: bytes) -> bytes:
-    """Inverse of :func:`frame_payload` (tolerates trailing padding)."""
-    return _unframe_bytes(data)
-
-
-def _unframe_bytes(data: bytes) -> bytes:
-    """Pure-bytes :func:`_unframe` for the systematic (count == 1) path."""
+    """Inverse of :func:`frame_payload` (tolerates trailing padding); the
+    pure-bytes :func:`_unframe` of the systematic (count == 1) path."""
     length = (data[0] << 8) | data[1]
     if length + LENGTH_PREFIX_SIZE > len(data):
         raise RlncError("corrupt recovered packet: bad length prefix")
@@ -324,19 +320,17 @@ class RlncDecoder:
             self.stats.duplicates += 1
             return
         self._delivered[packet_id] = True
-        self._remember(packet_id, payload)
+        # remember the payload for ranges that open after it arrived
+        recent = self._recent
+        if packet_id not in recent:
+            recent[packet_id] = payload
+            order = self._recent_order
+            order.append(packet_id)
+            while len(order) > self.RECENT_RETENTION:
+                recent.pop(order.popleft(), None)
         out.append((packet_id, payload))
         if self._on_packet is not None:
             self._on_packet(packet_id, payload)
-
-    def _remember(self, packet_id: int, payload: bytes) -> None:
-        if packet_id in self._recent:
-            return
-        self._recent[packet_id] = payload
-        self._recent_order.append(packet_id)
-        while len(self._recent_order) > self.RECENT_RETENTION:
-            old = self._recent_order.popleft()
-            self._recent.pop(old, None)
 
     @hot_path
     def push(self, start_id: int, count: int, seed: int, payload: bytes) -> List[Tuple[int, bytes]]:
@@ -345,10 +339,13 @@ class RlncDecoder:
             raise ValueError("count out of range")
         out: List[Tuple[int, bytes]] = []
         if count == 1:
+            # systematic packet: strip the length prefix and hand it up;
+            # only an open range (rare) has any use for it beyond that
             self.stats.originals_received += 1
-            original = _unframe_bytes(payload)
+            original = unframe_payload(payload)
             self._deliver(start_id, original, out)
-            self._cross_feed_original(start_id, original, out)
+            if self._ranges:
+                self._cross_feed_original(start_id, original, out)
             return out
 
         self.stats.coded_received += 1

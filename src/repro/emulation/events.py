@@ -5,11 +5,14 @@ runs on one :class:`EventLoop`.  Time is a float in seconds.  The loop is a
 plain binary heap with cancellable handles; ties are broken by insertion
 order so runs are fully deterministic for a given seed.
 
-Heap entries are bare ``[time, order, callback, args]`` lists rather than
-objects: the ``order`` field is unique, so heap comparisons resolve on the
-first two (C-compared) elements and never reach the callback.  Cancelling
-an event nulls its callback in place; the dead entry stays in the heap
-until it surfaces — *or* until cancelled entries pile up, at which point
+Heap entries are ``[time, order, callback, args, loop]`` lists: the
+``order`` field is unique, so heap comparisons resolve on the first two
+(C-compared) elements and never reach the callback.  The entry is its own
+cancellation handle (:class:`EventHandle` subclasses ``list``), so an
+event costs one allocation whether or not anybody keeps the handle — most
+are link drains and deliveries nobody can cancel.  Cancelling an event
+nulls its callback in place; the dead entry stays in the heap until it
+surfaces — *or* until cancelled entries pile up, at which point
 the heap is compacted in one linear pass (``_COMPACT_MIN`` live threshold,
 then whenever dead entries outnumber live ones).  Without compaction a
 cancel-heavy workload — timer re-arming, retransmission races — grows the
@@ -28,8 +31,8 @@ __all__ = [
     "PeriodicTimer",
 ]
 
-# entry layout: [time, order, callback, args]; callback None == cancelled
-_TIME, _ORDER, _CALLBACK, _ARGS = 0, 1, 2, 3
+# entry layout: [time, order, callback, args, loop]; callback None == cancelled
+_TIME, _ORDER, _CALLBACK, _ARGS, _LOOP = 0, 1, 2, 3, 4
 
 #: Compaction never triggers below this many cancelled entries — small
 #: heaps are cheap to carry and the O(n) sweep would dominate.
@@ -40,39 +43,38 @@ class SimulationError(Exception):
     """Raised for invalid scheduling (e.g. events in the past)."""
 
 
-class EventHandle:
-    """Cancellation handle returned by :meth:`EventLoop.schedule`."""
+class EventHandle(list):
+    """One heap entry, returned by :meth:`EventLoop.schedule` as the
+    event's cancellation handle."""
 
-    __slots__ = ("_entry", "_loop")
-
-    def __init__(self, entry: list, loop: "EventLoop"):
-        self._entry = entry
-        self._loop = loop
+    __slots__ = ()
 
     @property
     def time(self) -> float:
-        return self._entry[_TIME]
+        return self[_TIME]
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[_CALLBACK] is None
+        return self[_CALLBACK] is None
 
     def cancel(self) -> None:
         """Cancel the event; safe to call more than once (or after firing)."""
-        entry = self._entry
-        if entry[_CALLBACK] is None:
+        if self[_CALLBACK] is None:
             return
-        entry[_CALLBACK] = None
-        entry[_ARGS] = ()
-        self._loop._note_cancelled()
+        self[_CALLBACK] = None
+        self[_ARGS] = ()
+        self[_LOOP]._note_cancelled()
 
 
 class EventLoop:
     """A deterministic discrete-event scheduler."""
 
     def __init__(self, start_time: float = 0.0):
-        self._now = start_time
-        self._heap: List[list] = []
+        #: Current simulation time in seconds.  A plain attribute, written
+        #: only by the loop itself: every layer reads the clock several
+        #: times per packet and a property would cost a call each time.
+        self.now = start_time
+        self._heap: List[EventHandle] = []
         self._counter = itertools.count()
         self._cancelled = 0
         self.events_processed = 0
@@ -81,11 +83,6 @@ class EventLoop:
         #: — one local ``is None`` test per event, bounded by the
         #: disabled-overhead gate.
         self.profiler = None
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def pending_events(self) -> int:
         """Live (non-cancelled) events still in the heap."""
@@ -97,21 +94,21 @@ class EventLoop:
 
     def schedule(self, when: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        now = self._now
+        now = self.now
         if when < now:
             if when < now - 1e-12:
                 raise SimulationError(
                     "cannot schedule event at %.6f before now %.6f" % (when, now))
             when = now
-        entry = [when, next(self._counter), callback, args]
+        entry = EventHandle((when, next(self._counter), callback, args, self))
         heapq.heappush(self._heap, entry)
-        return EventHandle(entry, self)
+        return entry
 
     def call_later(self, delay: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError("negative delay %r" % delay)
-        return self.schedule(self._now + delay, callback, *args)
+        return self.schedule(self.now + delay, callback, *args)
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
@@ -131,7 +128,7 @@ class EventLoop:
         self._heap[:] = live
         self._cancelled = 0
 
-    def _pop_live(self) -> Optional[list]:
+    def _pop_live(self) -> Optional[EventHandle]:
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -153,7 +150,7 @@ class EventLoop:
         entry = self._pop_live()
         if entry is None:
             return False
-        self._now = entry[_TIME]
+        self.now = entry[_TIME]
         callback, args = entry[_CALLBACK], entry[_ARGS]
         # null the popped entry so a late cancel() through a kept handle is
         # a no-op (and is not double-counted against the heap)
@@ -163,7 +160,7 @@ class EventLoop:
         if self.profiler is None:
             callback(*args)
         else:
-            self.profiler.call(callback, args, self._now)
+            self.profiler.call(callback, args, self.now)
         return True
 
     def run_until(self, end_time: float) -> None:
@@ -185,7 +182,7 @@ class EventLoop:
             if when > end_time:
                 break
             entry = heapq.heappop(heap)
-            self._now = when
+            self.now = when
             callback, args = entry[_CALLBACK], entry[_ARGS]
             entry[_CALLBACK] = None
             entry[_ARGS] = ()
@@ -194,7 +191,7 @@ class EventLoop:
                 callback(*args)
             else:
                 profiler.call(callback, args, when)
-        self._now = max(self._now, end_time)
+        self.now = max(self.now, end_time)
 
     def run(self, max_events: int = 50_000_000) -> None:
         """Run until the event queue is exhausted."""

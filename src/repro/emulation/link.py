@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Deque
+from typing import Any, Callable, Deque, Tuple
 from collections import deque
 
 from ..determinism import seeded_rng
@@ -57,13 +57,6 @@ class LinkStats:
         d = asdict(self)
         d["loss_rate"] = self.loss_rate
         return d
-
-
-@dataclass
-class _Queued:
-    payload: Any
-    size: int
-    enqueue_time: float
 
 
 class LinkFaultState:
@@ -123,7 +116,7 @@ class EmulatedLink:
         self.direction = direction
         self.stats = LinkStats()
         self._rng = seeded_rng(seed)  # lint: disable=shard-rng-provenance -- adding a derivation label would shift loss/delay draws and break golden replay; the caller derives a per-link seed
-        self._queue: Deque[_Queued] = deque()
+        self._queue: Deque[Tuple[Any, int]] = deque()  # (payload, size)
         self._queue_bytes = 0
         self._drain_scheduled = False
         # opportunity cursor: epoch * duration + opportunities[index].
@@ -154,34 +147,6 @@ class EmulatedLink:
     def name(self) -> str:
         return self.trace.name
 
-    def _next_opportunity(self, after: float) -> float:
-        """Absolute time of the next delivery opportunity >= ``after``."""
-        opps = self._opps
-        n = len(opps)
-        duration = self._duration
-        # jump straight to the epoch containing ``after``
-        target_epoch = int(after // duration)
-        if target_epoch > self._epoch:
-            self._epoch = target_epoch
-            self._opp_index = 0
-        while True:
-            base = self._epoch * duration
-            if self._opp_index >= n:
-                self._epoch += 1
-                self._opp_index = 0
-                continue
-            t = base + opps[self._opp_index]
-            if t >= after - 1e-12:
-                return t
-            # advance the cursor with a binary search within this epoch
-            local = after - base
-            idx = bisect_left(opps, local)
-            if idx >= n:
-                self._epoch += 1
-                self._opp_index = 0
-            else:
-                self._opp_index = idx
-
     def send(self, payload: Any, size: int) -> bool:
         """Enqueue a packet; returns False if the queue tail-dropped it."""
         if size <= 0:
@@ -200,22 +165,54 @@ class EmulatedLink:
                     sp.instant("drop", self.loop.now, path=self.path_id,
                                dir=self.direction, reason="queue")
             return False
-        self._queue.append(_Queued(payload, size, self.loop.now))
+        self._queue.append((payload, size))
         self._queue_bytes += size
-        self._schedule_drain()
+        if not self._drain_scheduled and not self._dead:
+            self._schedule_drain(self.loop.now)
         return True
 
-    def _schedule_drain(self) -> None:
-        if self._drain_scheduled or not self._queue or self._dead:
-            return
-        t = self._next_opportunity(self.loop.now)
+    def _schedule_drain(self, now: float) -> None:
+        """Arm the drain event at the next delivery opportunity >= ``now``.
+
+        The event chain per packet is ``send -> _drain -> deliver``: at
+        most one drain event is pending per link, armed here by ``send``
+        on an idle link and re-armed by ``_drain`` while packets remain,
+        so each queued packet costs one drain insert and one delivery
+        insert.  An idle link's cursor may be anywhere behind ``now``:
+        jump to the epoch containing it, then bisect within the epoch.
+        """
+        opps = self._opps
+        n = len(opps)
+        duration = self._duration
+        target_epoch = int(now // duration)
+        if target_epoch > self._epoch:
+            self._epoch = target_epoch
+            self._opp_index = 0
+        while True:
+            base = self._epoch * duration
+            if self._opp_index >= n:
+                self._epoch += 1
+                self._opp_index = 0
+                continue
+            t = base + opps[self._opp_index]
+            if t >= now - 1e-12:
+                break
+            # advance the cursor with a binary search within this epoch
+            idx = bisect_left(opps, now - base)
+            if idx >= n:
+                self._epoch += 1
+                self._opp_index = 0
+            else:
+                self._opp_index = idx
         self._drain_scheduled = True
         self.loop.schedule(t, self._drain)
 
     def _drain(self) -> None:
         self._drain_scheduled = False
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
+        now = self.loop.now
         # consume this opportunity
         self._opp_index += 1
         fault = self.fault
@@ -224,46 +221,56 @@ class EmulatedLink:
             # bandwidth cliff: the opportunity is wasted, the packet stays
             # queued (capacity collapse -> queue buildup -> inherited delay,
             # the Fig. 3(c) mechanism)
-            self._schedule_drain()
+            self._schedule_drain(now)
             return
-        item = self._queue.popleft()
-        self._queue_bytes -= item.size
+        payload, size = queue.popleft()
+        self._queue_bytes -= size
         lost = False
         reason = "loss"
         if self.loss_enabled:
-            p = self._loss.probability_at(self.loop.now, self._duration)
+            p = self._loss.probability_at(now, self._duration)
             if p > 0 and self._rng.random() < p:
                 lost = True
         if not lost and fault is not None and fault.loss_prob > 0.0 \
                 and fault.rng.random() < fault.loss_prob:
             lost = True
             reason = "fault"
+        stats = self.stats
         if lost:
-            self.stats.dropped_loss += 1
-            self.stats.bytes_dropped += item.size
+            stats.dropped_loss += 1
+            stats.bytes_dropped += size
             tel = self.telemetry
             if tel.enabled:
-                tel.event(self.loop.now, "link_drop", path_id=self.path_id,
-                          dir=self.direction, reason=reason, size=item.size)
+                tel.event(now, "link_drop", path_id=self.path_id,
+                          dir=self.direction, reason=reason, size=size)
                 tel.count("link.%s.drop_loss" % (self.direction or "?"))
                 sp = tel.spans
                 if sp.enabled:
-                    sp.instant("drop", self.loop.now, path=self.path_id,
+                    sp.instant("drop", now, path=self.path_id,
                                dir=self.direction, reason=reason)
         else:
-            self.stats.delivered += 1
-            self.stats.bytes_delivered += item.size
-            arrive = self.loop.now + self._base_delay
+            stats.delivered += 1
+            stats.bytes_delivered += size
+            arrive = now + self._base_delay
             if fault is not None:
                 if fault.extra_delay > 0.0:
                     arrive += fault.extra_delay
                 if fault.reorder_jitter > 0.0:
                     arrive += fault.rng.random() * fault.reorder_jitter
-            self.loop.schedule(arrive, self.deliver, item.payload, arrive)
+            self.loop.schedule(arrive, self.deliver, payload, arrive)
             if fault is not None and fault.dup_prob > 0.0 \
                     and fault.rng.random() < fault.dup_prob:
                 dup_arrive = arrive + self._base_delay * 0.5
-                self.stats.delivered += 1
-                self.stats.bytes_delivered += item.size
-                self.loop.schedule(dup_arrive, self.deliver, item.payload, dup_arrive)
-        self._schedule_drain()
+                stats.delivered += 1
+                stats.bytes_delivered += size
+                self.loop.schedule(dup_arrive, self.deliver, payload, dup_arrive)
+        if queue:
+            # a busy link's next opportunity is the cursor's own, later in
+            # this epoch; only a trace wrap needs the walk
+            idx = self._opp_index
+            if idx < len(self._opps) and int(now // self._duration) <= self._epoch:
+                self._drain_scheduled = True
+                self.loop.schedule(self._epoch * self._duration + self._opps[idx],
+                                   self._drain)
+            else:
+                self._schedule_drain(now)

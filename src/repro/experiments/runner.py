@@ -327,8 +327,7 @@ def run_stream(
                  len(faults) if faults is not None else 0)
 
     video_cfg = video or VideoConfig()
-    source = VideoSource(loop, lambda payload, frame_id: client.send_app_packet(payload, frame_id), video_cfg,
-                         telemetry=tel)
+    source = VideoSource(loop, client.send_app_burst, video_cfg, telemetry=tel)
     source.start(first_delay=0.01)
 
     loop.run_until(duration)

@@ -24,6 +24,7 @@ scalar summary row the fleet report prints.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
@@ -154,6 +155,11 @@ def _tunnel_payload(spec: VehicleSpec, config) -> dict:
         faults=plan,
         fault_seed=spec.fault_seed,
     )
+    # The finished session (endpoints <-> emulator <-> event loop) is one
+    # reference cycle that refcounting cannot free.  Collect it before the
+    # next vehicle: a shard's peak memory is then one session, not however
+    # many the allocation-count heuristic lets pile up.
+    gc.collect()
     agg = RunAggregate().add_result(result)
     agg.metrics.observe_many(
         "delay.e2e",

@@ -23,7 +23,7 @@ per probe window) and the ACK — or its absence — drives the next edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..determinism import seeded_rng
 from ..quic.cc.base import CongestionController
@@ -169,12 +169,22 @@ class PathState:
         self.packets_sent += 1
         self.bytes_sent += size
 
-    def on_acked(self, size: int, rtt_sample: float, ack_delay: float, now: float) -> None:
-        self.rtt.update(rtt_sample, ack_delay)
-        self.cc.on_ack(size, rtt_sample, now)
+    def on_acked(self, sizes: Sequence[int], rtts: Sequence[float], now: float,
+                 ack_delay: Optional[float] = None) -> None:
+        """One ACK frame's newly acknowledged packets: their sizes and RTTs
+        (parallel sequences) in the order the congestion controller is to
+        replay them.
+
+        When the frame's largest-acknowledged packet is among them it
+        comes first and ``ack_delay`` is given: it is the RTT sample and
+        the delivery outcome the loss EWMA folds in.
+        """
+        if ack_delay is not None:
+            self.rtt.update(rtts[0], ack_delay)
+            self.loss_ewma += self.loss_ewma_alpha * (0.0 - self.loss_ewma)
+        self.cc.on_ack(sizes, rtts, now)
         self.last_ack_time = now
-        self.packets_acked += 1
-        self.loss_ewma += self.loss_ewma_alpha * (0.0 - self.loss_ewma)
+        self.packets_acked += len(sizes)
 
     def on_lost(self, size: int, now: float) -> None:
         self.cc.on_loss(size, now)
@@ -254,14 +264,9 @@ class PathManager:
         return list(self._sorted)
 
     def usable(self, now: float) -> List[PathState]:
-        return [p for p in self.all() if p.is_usable(now)]
-
-    def with_window(self, size: int, now: float) -> List[PathState]:
-        """Paths that are usable and have window for ``size`` bytes."""
-        return [p for p in self.usable(now) if p.can_send(size)]
-
-    def total_available_packets(self, now: float) -> int:
-        return sum(p.cc.available_packets() for p in self.usable(now))
+        """The paths in service at ``now``, in id order: what a scheduler
+        chooses among (a fresh list; the transport edits it in place)."""
+        return [p for p in self._sorted if p.is_usable(now)]
 
 
 class PathHealthMonitor:

@@ -5,6 +5,11 @@ should carry it *now*.  Returning an empty list means "hold the packet"
 (no path has window, or the scheduler prefers waiting — ECF does this).
 Redundant schedulers return several paths and the packet is duplicated.
 
+The transport works out which paths are in service once per sim instant
+(``PathManager.usable``) and hands every ``select`` of that instant the
+same list, so a scheduler never asks a path whether it is usable — only
+whether its congestion window has room.
+
 Recovery packets bypass the scheduler entirely: XNC's one-shot recovery
 does its own window-proportional spreading (§4.5.2).
 """
@@ -23,13 +28,14 @@ class Scheduler:
 
     name = "base"
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        """Paths that should carry this packet (possibly empty)."""
-        raise NotImplementedError
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
+        """Which of the ``usable`` paths (in service at ``now``, id order)
+        should carry a packet of ``size`` wire bytes — possibly none.
 
-    def sendable(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        """Helper: usable paths with congestion window for ``size``."""
-        return [p for p in paths if p.is_usable(now) and p.can_send(size)]
+        Always a fresh list: the caller edits ``usable`` in place when a
+        send takes a path out of service.
+        """
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return "<%s scheduler>" % self.name

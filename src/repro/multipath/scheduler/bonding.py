@@ -42,21 +42,19 @@ class BondingScheduler(Scheduler):
         self.five_tuple = five_tuple or ("192.168.1.10", 5004, "10.0.0.1", 8554, 17)
         self._pinned: Optional[int] = None
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        ordered = sorted(paths, key=lambda p: p.path_id)
-        if not ordered:
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
+        if not usable:
             return []
-        if self._pinned is None:
-            self._pinned = ordered[hash_five_tuple(self.five_tuple, len(ordered))].path_id
-        by_id = {p.path_id: p for p in ordered}
-        pinned = by_id.get(self._pinned)
-        # failover: re-hash onto a live path when the pinned one is dead
-        if pinned is None or not pinned.is_usable(now):
-            live = [p for p in ordered if p.is_usable(now)]
-            if not live:
-                return []
-            pinned = live[hash_five_tuple(self.five_tuple, len(live))]
+        pinned = None
+        for p in usable:
+            if p.path_id == self._pinned:
+                pinned = p
+                break
+        if pinned is None:
+            # first packet of the flow, or failover: (re-)hash onto a live
+            # path when the pinned one is out of service
+            pinned = usable[hash_five_tuple(self.five_tuple, len(usable))]
             self._pinned = pinned.path_id
-        if not pinned.can_send(size):
+        if not pinned.cc.can_send(size):
             return []
         return [pinned]

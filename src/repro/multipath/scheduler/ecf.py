@@ -39,14 +39,13 @@ class EcfScheduler(Scheduler):
         srtt = max(path.smoothed_rtt, 1e-3)
         return max(path.cc.cwnd, 1) / srtt
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        usable = [p for p in paths if p.is_usable(now)]
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
         if not usable:
             return []
         fastest = min(usable, key=lambda p: (p.smoothed_rtt, p.path_id))
-        if fastest.can_send(size):
+        if fastest.cc.can_send(size):
             return [fastest]
-        with_window = [p for p in usable if p.can_send(size)]
+        with_window = [p for p in usable if p.cc.can_send(size)]
         if not with_window:
             return []
         slow = min(with_window, key=lambda p: (p.smoothed_rtt, p.path_id))

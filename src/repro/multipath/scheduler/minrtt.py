@@ -21,14 +21,14 @@ class MinRttScheduler(Scheduler):
 
     name = "minRTT"
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
         # one pass, no candidate list: this runs once per scheduled packet.
         # Ties break on the lower path_id (ids are unique), matching a
         # min() over (smoothed_rtt, path_id) keys.
         best = None
         best_rtt = 0.0
-        for p in paths:
-            if not (p.is_usable(now) and p.can_send(size)):
+        for p in usable:
+            if not p.cc.can_send(size):
                 continue
             rtt = p.rtt.smoothed_rtt
             if best is None or rtt < best_rtt or (rtt == best_rtt and p.path_id < best.path_id):

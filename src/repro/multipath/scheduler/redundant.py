@@ -21,5 +21,5 @@ class RedundantScheduler(Scheduler):
 
     name = "RE"
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        return self.sendable(paths, size, now)
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
+        return [p for p in usable if p.cc.can_send(size)]

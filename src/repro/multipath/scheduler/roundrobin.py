@@ -19,11 +19,10 @@ class RoundRobinScheduler(Scheduler):
     def __init__(self):
         self._last_path_id = -1
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        candidates = self.sendable(paths, size, now)
-        if not candidates:
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
+        ordered = [p for p in usable if p.cc.can_send(size)]  # id order
+        if not ordered:
             return []
-        ordered = sorted(candidates, key=lambda p: p.path_id)
         for p in ordered:
             if p.path_id > self._last_path_id:
                 self._last_path_id = p.path_id

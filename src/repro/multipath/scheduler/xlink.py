@@ -33,8 +33,8 @@ class XlinkScheduler(Scheduler):
 
     name = "XLINK"
 
-    def select(self, paths: Sequence[PathState], size: int, now: float) -> List[PathState]:
-        candidates = self.sendable(paths, size, now)
+    def select(self, usable: Sequence[PathState], size: int, now: float) -> List[PathState]:
+        candidates = [p for p in usable if p.cc.can_send(size)]
         if not candidates:
             return []
         ranked = sorted(candidates, key=lambda p: (p.smoothed_rtt, p.path_id))

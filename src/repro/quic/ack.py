@@ -48,6 +48,14 @@ class AckRangeTracker:
         if packet_number > self.largest:
             self.largest = packet_number
             self.largest_recv_time = now
+        ranges = self._ranges
+        if ranges and ranges[-1][1] == packet_number - 1:
+            # in-order arrival extends the newest range: what the search
+            # below would conclude (insertion point at the end, merging
+            # with the previous range only)
+            ranges[-1][1] = packet_number
+            self._dirty = True
+            return True
         # locate insertion point among ranges
         lo, hi = 0, len(self._ranges)
         while lo < hi:

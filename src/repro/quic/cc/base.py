@@ -9,7 +9,7 @@ budget the one-shot recovery planner consumes (§4.5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 __all__ = [
     "DEFAULT_MSS",
@@ -54,10 +54,16 @@ class CongestionController:
         self.bytes_in_flight += size
         self._sent(size, now)
 
-    def on_ack(self, size: int, rtt: float, now: float) -> None:
-        self.bytes_in_flight = max(0, self.bytes_in_flight - size)
-        self.delivered_bytes += size
-        self._acked(size, rtt, now)
+    def on_ack(self, sizes: Sequence[int], rtts: Sequence[float], now: float) -> None:
+        """One ACK frame: size and RTT of every packet it newly
+        acknowledged (parallel sequences).  The per-packet arithmetic is
+        replayed in the order given, so the window ends up exactly where
+        one call per packet would have left it."""
+        for size, rtt in zip(sizes, rtts):
+            in_flight = self.bytes_in_flight - size
+            self.bytes_in_flight = in_flight if in_flight > 0 else 0
+            self.delivered_bytes += size
+            self._acked(size, rtt, now)
 
     def on_loss(self, size: int, now: float) -> None:
         self.bytes_in_flight = max(0, self.bytes_in_flight - size)

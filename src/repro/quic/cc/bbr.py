@@ -18,7 +18,6 @@ identically at the simulator's granularity.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from .base import CongestionController, INITIAL_WINDOW, MIN_WINDOW
@@ -40,12 +39,6 @@ STARTUP_FULL_BW_THRESHOLD = 1.25
 STARTUP_FULL_BW_ROUNDS = 3
 
 
-@dataclass
-class _BwSample:
-    time: float
-    delivered: int
-
-
 class BbrController(CongestionController):
     """Simplified BBR over the common controller interface."""
 
@@ -59,8 +52,8 @@ class BbrController(CongestionController):
         # bandwidth filter: (round_index, bw) samples, max over last rounds
         self._bw_samples: Deque[Tuple[int, float]] = deque()
         self.max_bandwidth = 0.0  # bytes/sec
-        # delivery-rate sampling
-        self._delivered_history: Deque[_BwSample] = deque()
+        # delivery-rate sampling: (time, cumulative delivered bytes)
+        self._delivered_history: Deque[Tuple[float, int]] = deque()
         # min RTT filter
         self.min_rtt = float("inf")
         self._min_rtt_stamp = 0.0
@@ -85,23 +78,17 @@ class BbrController(CongestionController):
             return float(INITIAL_WINDOW)
         return self.max_bandwidth * self.min_rtt
 
-    def _update_round(self, now: float) -> None:
-        if now - self._round_start >= self._latest_rtt:
-            self._round += 1
-            self._round_start = now
-
     def _sample_bandwidth(self, now: float) -> None:
-        self._delivered_history.append(_BwSample(now, self.delivered_bytes))
-        window = max(self._latest_rtt, 0.05)
-        while (
-            len(self._delivered_history) > 2 and self._delivered_history[0].time < now - window
-        ):
-            self._delivered_history.popleft()
-        first = self._delivered_history[0]
-        span = now - first.time
+        history = self._delivered_history
+        history.append((now, self.delivered_bytes))
+        horizon = now - max(self._latest_rtt, 0.05)
+        while len(history) > 2 and history[0][0] < horizon:
+            history.popleft()
+        first_time, first_delivered = history[0]
+        span = now - first_time
         if span <= 0:
             return
-        bw = (self.delivered_bytes - first.delivered) / span
+        bw = (self.delivered_bytes - first_delivered) / span
         # windowed max over the last BW_FILTER_ROUNDS rounds, aggregated to
         # one (round, max) entry per round so the filter stays O(rounds).
         # max_bandwidth is maintained incrementally: per-round entries only
@@ -128,9 +115,10 @@ class BbrController(CongestionController):
         elif bw > self.max_bandwidth:
             self.max_bandwidth = bw
 
+    # The state-machine steps below are each a no-op outside their own
+    # state; ``_acked`` enters them only there.
+
     def _check_startup_done(self) -> None:
-        if self.state != self.STARTUP:
-            return
         if self.max_bandwidth >= self._full_bw * STARTUP_FULL_BW_THRESHOLD:
             self._full_bw = self.max_bandwidth
             self._full_bw_rounds = 0
@@ -142,7 +130,7 @@ class BbrController(CongestionController):
             self.cwnd_gain = STARTUP_GAIN
 
     def _maybe_enter_probe_bw(self, now: float) -> None:
-        if self.state == self.DRAIN and self.bytes_in_flight <= self._bdp():
+        if self.bytes_in_flight <= self._bdp():
             self.state = self.PROBE_BW
             self.pacing_gain = 1.0
             self.cwnd_gain = 2.0
@@ -150,8 +138,6 @@ class BbrController(CongestionController):
             self._cycle_stamp = now
 
     def _advance_probe_bw_cycle(self, now: float) -> None:
-        if self.state != self.PROBE_BW:
-            return
         interval = self.min_rtt if self.min_rtt != float("inf") else self._latest_rtt
         if now - self._cycle_stamp >= interval:
             self._cycle_index = (self._cycle_index + 1) % len(PROBE_BW_GAINS)
@@ -172,13 +158,6 @@ class BbrController(CongestionController):
             self._saved_cwnd = self.cwnd
             self._probe_rtt_done_stamp = now + PROBE_RTT_DURATION
 
-    def _set_cwnd(self) -> None:
-        if self.state == self.PROBE_RTT:
-            self.cwnd = PROBE_RTT_CWND_PACKETS * self.mss
-            return
-        target = self.cwnd_gain * self._bdp()
-        self.cwnd = max(MIN_WINDOW, int(target))
-
     # -- controller hooks --------------------------------------------------
 
     def _acked(self, size: int, rtt: float, now: float) -> None:
@@ -186,13 +165,23 @@ class BbrController(CongestionController):
         if rtt < self.min_rtt or now - self._min_rtt_stamp > MIN_RTT_WINDOW:
             self.min_rtt = min(rtt, self.min_rtt if now - self._min_rtt_stamp <= MIN_RTT_WINDOW else rtt)
             self._min_rtt_stamp = now
-        self._update_round(now)
+        # a round is one RTT of sim time
+        if now - self._round_start >= rtt:
+            self._round += 1
+            self._round_start = now
         self._sample_bandwidth(now)
-        self._check_startup_done()
-        self._maybe_enter_probe_bw(now)
-        self._advance_probe_bw_cycle(now)
+        if self.state == self.STARTUP:
+            self._check_startup_done()
+        if self.state == self.DRAIN:
+            self._maybe_enter_probe_bw(now)
+        if self.state == self.PROBE_BW:
+            self._advance_probe_bw_cycle(now)
         self._maybe_probe_rtt(now)
-        self._set_cwnd()
+        if self.state == self.PROBE_RTT:
+            self.cwnd = PROBE_RTT_CWND_PACKETS * self.mss
+        else:
+            target = int(self.cwnd_gain * self._bdp())
+            self.cwnd = target if target > MIN_WINDOW else MIN_WINDOW
 
     def _lost(self, size: int, now: float) -> None:
         # BBR is rate-based: loss does not collapse the model window.  The

@@ -24,7 +24,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.frames import XncNcFrame
+from ..core.frames import XNC_HEADER_SIZE, XncNcFrame
+from ..core.rlnc import LENGTH_PREFIX_SIZE
 from ..emulation.emulator import MultipathEmulator
 from ..hotpath import hot_path
 from ..emulation.events import EventLoop, PeriodicTimer
@@ -48,6 +49,7 @@ __all__ = [
     "ClientStats",
     "TunnelClientBase",
     "TunnelServerBase",
+    "FIRST_TX_OVERHEAD",
 ]
 
 #: RFC 9002 packet reordering threshold.
@@ -63,11 +65,19 @@ CLIENT_TICK = 0.002
 #: device drops, which is how a real-time source sheds load into a slow
 #: tunnel instead of buffering forever.
 INGRESS_QUEUE_LIMIT = 512
+#: Wire bytes a first transmission adds to its payload: the XNC_NC frame
+#: (type byte, u16 length, XNC_Header) around the length prefix every
+#: ``_build_frame`` puts in front of the payload, plus the tunnel headers.
+#: The scheduler is asked with this estimate before the frame is built.
+FIRST_TX_OVERHEAD = 3 + XNC_HEADER_SIZE + LENGTH_PREFIX_SIZE + TUNNEL_OVERHEAD
 #: Stream watchdog: with work pending and no ACK progress for this many
 #: seconds the client declares a terminal stall and closes.  Generous by
 #: design — ordinary multi-PTO outages resolve via the health machine;
 #: the watchdog only catches a tunnel that can never make progress again.
 WATCHDOG_TIMEOUT = 30.0
+
+#: ``_pump`` without a burst: one pass that admits nothing.
+_DRAIN_ONLY: Sequence[Optional[bytes]] = (None,)
 
 
 @dataclass
@@ -176,6 +186,9 @@ class TunnelClientBase:
         self.stats = ClientStats()
         self._queue: Deque[AppPacket] = deque()
         self._queue_bytes = 0
+        #: The paths usable at the current sim instant while ``_pump`` is
+        #: running (shared with the scheduler), None outside it.
+        self._usable: Optional[List[PathState]] = None
         # probed once: only backlog-aware schedulers (ECF) expose the hint
         self._scheduler_wants_backlog = hasattr(scheduler, "queued_bytes_hint")
         self._next_app_id = 0
@@ -203,36 +216,25 @@ class TunnelClientBase:
 
     # -- application ingress -------------------------------------------------
 
-    @hot_path
     def send_app_packet(self, payload: bytes, frame_id: Optional[int] = None) -> Optional[int]:
-        """Accept one application packet into the tunnel; returns its ID,
-        or None when the ingress (tun) queue tail-dropped it."""
-        self.stats.app_packets_in += 1
-        self.stats.app_bytes_in += len(payload)
-        tel = self.telemetry
-        if len(self._queue) >= self.ingress_limit:
-            self.stats.ingress_dropped += 1
-            if tel.enabled:
-                tel.event(self.loop.now, ev.INGRESS_DROP, self._next_app_id)
-                tel.count("client.ingress_dropped")
-            return None
-        pkt = AppPacket(self._next_app_id, bytes(payload), frame_id, self.loop.now)
-        self._next_app_id += 1
-        self._queue.append(pkt)
-        self._queue_bytes += pkt.size
-        if tel.enabled:
-            tel.event(self.loop.now, ev.APP_IN, pkt.packet_id,
-                      size=pkt.size, frame=frame_id)
-            tel.count("client.app_in")
-            sp = tel.spans
-            if sp.enabled:
-                parent = sp.lookup("frame", frame_id) if frame_id is not None else 0
-                sid = sp.open("packet", self.loop.now, parent=parent,
-                              packet=pkt.packet_id, size=pkt.size)
-                sp.bind("packet", pkt.packet_id, sid)
-        self._on_app_packet_queued(pkt)
-        self._pump()
-        return pkt.packet_id
+        """Accept one application packet into the tunnel (a burst of one);
+        returns its ID, or None when the ingress (tun) queue tail-dropped
+        it."""
+        return self._pump((payload,), frame_id)[0]
+
+    @hot_path
+    def send_app_burst(self, payloads: Sequence[bytes],
+                       frame_id: Optional[int] = None) -> List[Optional[int]]:
+        """Accept the packets of one burst — a video frame, entering the
+        tunnel at one sim instant — in order; returns one ID per packet,
+        None where the ingress queue tail-dropped it.
+
+        Packet for packet this does what a loop of :meth:`send_app_packet`
+        would (same drops, same transmissions in the same order, same
+        telemetry), but whatever cannot change within one sim instant —
+        the clock, which paths are usable — is worked out once per burst.
+        """
+        return self._pump(payloads, frame_id)
 
     @property
     def backlog_packets(self) -> int:
@@ -244,15 +246,26 @@ class TunnelClientBase:
 
     # -- subclass hooks --------------------------------------------------
 
+    #: Retransmission backlog sent ahead of fresh data (``_drain_retx``);
+    #: only the reliable transports keep one.
+    _retx: Sequence[int] = ()
+
     def _on_app_packet_queued(self, pkt: AppPacket) -> None:
         """Called when an app packet enters the queue (e.g. pool register)."""
 
     def _build_frame(self, pkt: AppPacket) -> XncNcFrame:
-        """Wire frame for a first transmission of ``pkt``."""
+        """Wire frame for a first transmission of ``pkt``: the payload
+        behind its length prefix, nothing more (``FIRST_TX_OVERHEAD``)."""
         raise NotImplementedError
 
-    def _on_app_acked(self, app_ids: Sequence[int], info: SentInfo) -> None:
-        """App packets confirmed delivered (first ACK of a carrying packet)."""
+    def _drain_retx(self, usable: List[PathState], now: float) -> bool:
+        """Send what ``_retx`` holds; True when the scheduler held one back
+        (fresh data then waits behind it)."""
+        raise NotImplementedError
+
+    def _on_app_acked(self, infos: Sequence[SentInfo]) -> None:
+        """The packets one ACK frame newly confirmed delivered (each
+        carries app packets and was not already given up as lost)."""
 
     def _on_cc_lost(self, info: SentInfo, now: float) -> None:
         """Transport-level loss (policy: requeue, code, or ignore)."""
@@ -270,61 +283,123 @@ class TunnelClientBase:
 
     # -- scheduling / transmission ------------------------------------------
 
-    def _pump(self) -> None:
-        """Drain the app queue through the scheduler while windows allow."""
-        if self.closed:
-            return
-        guard = 0
+    def _admit(self, payload: bytes, frame_id: Optional[int], now: float) -> Optional[int]:
+        """Ingress of one app packet: tail-drop it against the live queue
+        length (None), or queue it and return its ID."""
+        stats = self.stats
+        stats.app_packets_in += 1
+        stats.app_bytes_in += len(payload)
         tel = self.telemetry
-        queue = self._queue  # one attribute walk for the whole drain loop
-        # sim time cannot advance inside one event callback, so one read
-        # of the clock serves the whole drain loop
-        now = self.loop.now
-        while queue:
-            pkt = queue[0]
-            if self._queue_entry_stale(pkt, now):
-                queue.popleft()
-                self._queue_bytes -= pkt.size
-                self.stats.expired_packets += 1
-                if tel.enabled:
-                    tel.event(now, ev.EXPIRED, pkt.packet_id,
-                              where="ingress_queue")
-                    tel.count("client.expired")
-                    sp = tel.spans
-                    if sp.enabled:
-                        sp.close(sp.lookup("packet", pkt.packet_id), now,
-                                 outcome="expired", where="ingress_queue")
-                self._on_queue_entry_dropped(pkt)
-                continue
-            frame = self._build_frame(pkt)
-            wire_estimate = frame.wire_size + 56
-            if self._scheduler_wants_backlog:
-                self.scheduler.queued_bytes_hint = self._queue_bytes
-            targets = self.scheduler.select(self.paths.all(), wire_estimate, now)
-            if not targets:
-                return
-            if self.sanitizer.enabled:
-                self.sanitizer.check_scheduler_targets(targets, wire_estimate, now)
-            queue.popleft()
-            self._queue_bytes -= pkt.size
+        if len(self._queue) >= self.ingress_limit:
+            stats.ingress_dropped += 1
             if tel.enabled:
-                tel.event(now, ev.SCHEDULED, pkt.packet_id,
-                          targets[0].path_id, fanout=len(targets),
-                          queue_wait=now - pkt.enqueue_time)
-                for t in targets:
-                    tel.count("scheduler.selected.path%d" % t.path_id)
-                tel.observe("client.queue_wait", now - pkt.enqueue_time)
-                sp = tel.spans
-                if sp.enabled:
-                    sp.annotate(sp.lookup("packet", pkt.packet_id),
-                                sched_t=now, fanout=len(targets),
-                                sched_path=targets[0].path_id)
-            for i, path in enumerate(targets):
-                is_dup = i > 0
-                self._transmit_frame(path, frame, (pkt.packet_id,), is_recovery=False, is_dup=is_dup)  # lint: hot-ok(the app-id tuple is retained in per-packet SentInfo; it is the record, not churn)
-            guard += 1
-            if guard > 100_000:
-                raise RuntimeError("pump loop runaway")
+                tel.event(now, ev.INGRESS_DROP, self._next_app_id)
+                tel.count("client.ingress_dropped")
+            return None
+        pkt = AppPacket(self._next_app_id, bytes(payload), frame_id, now)
+        self._next_app_id += 1
+        self._queue.append(pkt)
+        self._queue_bytes += len(pkt.payload)
+        if tel.enabled:
+            tel.event(now, ev.APP_IN, pkt.packet_id,
+                      size=pkt.size, frame=frame_id)
+            tel.count("client.app_in")
+            sp = tel.spans
+            if sp.enabled:
+                parent = sp.lookup("frame", frame_id) if frame_id is not None else 0
+                sid = sp.open("packet", now, parent=parent,
+                              packet=pkt.packet_id, size=pkt.size)
+                sp.bind("packet", pkt.packet_id, sid)
+        self._on_app_packet_queued(pkt)
+        return pkt.packet_id
+
+    def _pump(self, burst: Sequence[bytes] = _DRAIN_ONLY,
+              frame_id: Optional[int] = None) -> List[Optional[int]]:
+        """Drain the app queue through the scheduler while windows allow.
+
+        With a ``burst``, its packets are admitted one at a time and the
+        queue is drained after each — the order a per-packet caller would
+        produce — and their IDs returned (None = tail-dropped at ingress).
+
+        Sim time cannot advance inside one event callback and no ACK, loss
+        or health edge can run, so the clock is read once and the usable
+        paths are worked out once; a path's usability can change under the
+        pump only through its own send (``_transmit_frame`` keeps
+        ``_usable`` honest), and the scheduler is left to test windows.
+        """
+        admitted: List[Optional[int]] = []
+        queue = self._queue
+        closed = self.closed
+        if burst is _DRAIN_ONLY and (closed or not (queue or self._retx)):
+            return admitted
+        now = self.loop.now
+        tel = self.telemetry
+        stats = self.stats
+        scheduler = self.scheduler
+        usable: Optional[List[PathState]] = None
+        try:
+            for payload in burst:
+                if payload is not None:
+                    packet_id = self._admit(payload, frame_id, now)
+                    admitted.append(packet_id)
+                    if packet_id is None:
+                        continue
+                if closed:
+                    continue
+                if usable is None:
+                    usable = self._usable = self.paths.usable(now)
+                if self._retx and self._drain_retx(usable, now):
+                    continue
+                while queue:
+                    pkt = queue[0]
+                    if self._queue_entry_stale(pkt, now):
+                        queue.popleft()
+                        self._queue_bytes -= len(pkt.payload)
+                        stats.expired_packets += 1
+                        if tel.enabled:
+                            tel.event(now, ev.EXPIRED, pkt.packet_id,
+                                      where="ingress_queue")
+                            tel.count("client.expired")
+                            sp = tel.spans
+                            if sp.enabled:
+                                sp.close(sp.lookup("packet", pkt.packet_id), now,
+                                         outcome="expired", where="ingress_queue")
+                        self._on_queue_entry_dropped(pkt)
+                        continue
+                    wire_estimate = len(pkt.payload) + FIRST_TX_OVERHEAD
+                    if self._scheduler_wants_backlog:
+                        scheduler.queued_bytes_hint = self._queue_bytes
+                    targets = scheduler.select(usable, wire_estimate, now)
+                    if not targets:
+                        break
+                    if self.sanitizer.enabled:
+                        self.sanitizer.check_scheduler_targets(targets, wire_estimate, now)
+                    queue.popleft()
+                    self._queue_bytes -= len(pkt.payload)
+                    if tel.enabled:
+                        tel.event(now, ev.SCHEDULED, pkt.packet_id,
+                                  targets[0].path_id, fanout=len(targets),
+                                  queue_wait=now - pkt.enqueue_time)
+                        for t in targets:
+                            tel.count("scheduler.selected.path%d" % t.path_id)
+                        tel.observe("client.queue_wait", now - pkt.enqueue_time)
+                        sp = tel.spans
+                        if sp.enabled:
+                            sp.annotate(sp.lookup("packet", pkt.packet_id),
+                                        sched_t=now, fanout=len(targets),
+                                        sched_path=targets[0].path_id)
+                    # built only now that a target exists: a blocked pump
+                    # (every ACK and tick while the windows are full) must
+                    # not encode the head-of-line packet over and over
+                    frame = self._build_frame(pkt)
+                    app_ids = (pkt.packet_id,)  # lint: hot-ok(the app-id tuple is retained in per-packet SentInfo; it is the record, not churn)
+                    is_dup = False
+                    for path in targets:
+                        self._transmit_frame(path, frame, app_ids, is_recovery=False, is_dup=is_dup)
+                        is_dup = True
+        finally:
+            self._usable = None
+        return admitted
 
     def _transmit_frame(
         self,
@@ -351,7 +426,15 @@ class TunnelClientBase:
         info = SentInfo(pn, path.path_id, size, now, app_ids, is_recovery)
         self._sent[path.path_id][pn] = info
         self._sent_order[path.path_id].append(pn)
+        was_idle = path.cc.bytes_in_flight <= 0
         path.on_sent(size, now)
+        usable = self._usable
+        if was_idle and usable is not None and path in usable \
+                and not path.is_usable(now):
+            # ACK silence is measured only while data is in flight, so a
+            # path quiet for several PTOs turns "potentially failed" by its
+            # own first send: the one way the pump's view can go stale
+            usable.remove(path)
         if self.sanitizer.enabled:
             # probes fly on suspended paths whose window is full of
             # presumed-lost bytes; they are exempt from window discipline
@@ -422,56 +505,69 @@ class TunnelClientBase:
 
     def _process_ack(self, ack: AckFrame, now: float) -> None:
         self.stats.acks_received += 1
-        path = self.paths.get(ack.path_id)
+        path_id = ack.path_id
+        path = self.paths.get(path_id)
         if self.sanitizer.enabled:
             self.sanitizer.check_ack_plausible(path, ack.largest)
-        sent_map = self._sent[ack.path_id]
-        order = self._sent_order[ack.path_id]
+        sent_map = self._sent[path_id]
+        order = self._sent_order[path_id]
         # everything below the oldest outstanding pn is already resolved;
         # clamping keeps ACK processing O(outstanding), not O(history)
-        floor = order[0] if order else (self._largest_acked[ack.path_id] + 1)
+        floor = order[0] if order else (self._largest_acked[path_id] + 1)
         newly_acked: List[SentInfo] = []
+        delivered: List[SentInfo] = []
+        top: Optional[SentInfo] = None
         for low, high in ack.ranges:
             if high < floor:
                 continue
-            for pn in range(max(low, floor), high + 1):
+            for pn in range(low if low > floor else floor, high + 1):
                 info = sent_map.get(pn)
                 if info is None or info.acked:
                     continue
                 info.acked = True
                 newly_acked.append(info)
-        if not newly_acked:
+                if top is None or pn > top.packet_number:
+                    top = info
+                if info.app_ids and not info.cc_lost:
+                    delivered.append(info)
+        if top is None:
             return
-        self._largest_acked[ack.path_id] = max(self._largest_acked[ack.path_id], ack.largest)
-        # RTT sample from the largest newly-acked packet
-        largest_info = max(newly_acked, key=lambda i: i.packet_number)
-        if largest_info.packet_number == ack.largest:
-            rtt_sample = max(1e-4, now - largest_info.sent_time)
-            path.on_acked(largest_info.size, rtt_sample, ack.ack_delay, now)
-            cc_acked = [i for i in newly_acked if i is not largest_info]
-        else:
-            cc_acked = newly_acked
-        for info in cc_acked:
-            path.cc.on_ack(info.size, max(1e-4, now - info.sent_time), now)
-            path.packets_acked += 1
-            path.last_ack_time = now
-        tel = self.telemetry
-        spans = tel.spans if tel.enabled else None
+        if ack.largest > self._largest_acked[path_id]:
+            self._largest_acked[path_id] = ack.largest
+        # one congestion-control call per ACK frame: size and RTT of each
+        # packet in the order the controller is to replay them — the RTT
+        # sample (the largest newly-acked packet, when it is the frame's
+        # largest) first, then the rest in ACK-range order
+        sample = top if top.packet_number == ack.largest else None
+        sizes: List[int] = []
+        rtts: List[float] = []
+        if sample is not None:
+            sizes.append(sample.size)
+            rtts.append(max(1e-4, now - sample.sent_time))
         for info in newly_acked:
-            if tel.enabled:
+            if info is not sample:
+                rtt = now - info.sent_time
+                sizes.append(info.size)
+                rtts.append(rtt if rtt > 1e-4 else 1e-4)
+        path.on_acked(sizes, rtts, now,
+                      ack.ack_delay if sample is not None else None)
+        tel = self.telemetry
+        if tel.enabled:
+            spans = tel.spans
+            for info in newly_acked:
                 tel.event(now, ev.ACK,
                           info.app_ids[0] if info.app_ids else -1,
                           info.path_id, pn=info.packet_number,
                           count=len(info.app_ids))
                 tel.observe("client.ack_rtt", now - info.sent_time)
-                if spans is not None and info.span_id:
+                if info.span_id:
                     spans.close(info.span_id, now, outcome="ack")
-            if info.app_ids and not info.cc_lost:
-                self._on_app_acked(info.app_ids, info)
+        if delivered:
+            self._on_app_acked(delivered)
         # packet-threshold loss: unacked packets well below largest acked
-        threshold_pn = self._largest_acked[ack.path_id] - PACKET_REORDER_THRESHOLD
-        self._detect_cc_losses(ack.path_id, now, threshold_pn)
-        self._gc_sent(ack.path_id)
+        threshold_pn = self._largest_acked[path_id] - PACKET_REORDER_THRESHOLD
+        self._detect_cc_losses(path_id, now, threshold_pn)
+        self._gc_sent(path_id)
 
     # -- loss detection (transport level) ------------------------------------
 
@@ -480,8 +576,10 @@ class TunnelClientBase:
         return TIME_THRESHOLD_FACTOR * rtt
 
     def _detect_cc_losses(self, path_id: int, now: float, threshold_pn: int = -1) -> None:
-        path = self.paths.get(path_id)
         sent_map = self._sent[path_id]
+        if not sent_map:
+            return
+        path = self.paths.get(path_id)
         time_limit = max(self._cc_time_threshold(path), self.rto_min)
         pto_limit = max(path.rtt.pto() * 1.5, self.rto_min)
         # sent_map is insertion-ordered by pn, and sent_time is
@@ -538,9 +636,10 @@ class TunnelClientBase:
         if self.closed:
             return
         now = self.loop.now
-        for path in self.paths:
-            self._detect_cc_losses(path.path_id, now)
-            self._gc_sent(path.path_id)
+        for path_id, sent_map in self._sent.items():
+            if sent_map:  # nothing outstanding: nothing to lose or collect
+                self._detect_cc_losses(path_id, now)
+                self._gc_sent(path_id)
         self._health_tick(now)
         self._watchdog_tick(now)
         if self.closed:

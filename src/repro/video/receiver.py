@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..obs import NULL_TELEMETRY
-from .source import VideoPacket, VideoPacketError
+from .source import VideoPacketError, parse_header
 
 __all__ = [
     "FrameRecord",
@@ -58,26 +58,26 @@ class VideoReceiver:
     def on_app_packet(self, packet_id: int, payload: bytes, now: float) -> None:
         """Tunnel delivery callback (packet_id is the tunnel's app id)."""
         try:
-            pkt = VideoPacket.parse(payload)
+            frame_id, seq, count, keyframe, capture_ts = parse_header(payload)
         except VideoPacketError:
             self.parse_errors += 1
             return
-        record = self.frames.get(pkt.frame_id)
+        record = self.frames.get(frame_id)
         if record is None:
             record = FrameRecord(
-                frame_id=pkt.frame_id,
-                capture_ts=pkt.capture_ts,
-                keyframe=pkt.keyframe,
-                expected_packets=pkt.count,
+                frame_id=frame_id,
+                capture_ts=capture_ts,
+                keyframe=keyframe,
+                expected_packets=count,
             )
-            self.frames[pkt.frame_id] = record
-        if pkt.seq in record._seen:
+            self.frames[frame_id] = record
+        if seq in record._seen:
             self.duplicate_packets += 1
             return
-        record._seen.add(pkt.seq)
+        record._seen.add(seq)
         record.received_packets += 1
         self.packets_received += 1
-        self.packet_delays.append(now - pkt.capture_ts)
+        self.packet_delays.append(now - capture_ts)
         if record.first_packet_time is None:
             record.first_packet_time = now
         completed = (record.received_packets >= record.expected_packets
@@ -91,7 +91,7 @@ class VideoReceiver:
                 sp.close(sp.lookup("packet", packet_id), now,
                          outcome="delivered")
                 if completed:
-                    sp.close(sp.lookup("frame", pkt.frame_id), now,
+                    sp.close(sp.lookup("frame", frame_id), now,
                              outcome="complete")
 
     def frame_records(self, total_frames: Optional[int] = None) -> List[FrameRecord]:

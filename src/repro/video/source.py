@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..determinism import seeded_rng
 from ..emulation.events import EventLoop, PeriodicTimer
@@ -24,6 +24,7 @@ __all__ = [
     "PACKET_HEADER",
     "VideoPacketError",
     "VideoPacket",
+    "parse_header",
     "build_packet",
     "VideoConfig",
     "VideoSource",
@@ -56,12 +57,19 @@ class VideoPacket:
 
     @classmethod
     def parse(cls, data: bytes) -> "VideoPacket":
-        if len(data) < PACKET_HEADER.size:
-            raise VideoPacketError("short video packet")
-        magic, frame_id, seq, count, flags, ts = PACKET_HEADER.unpack_from(data)
-        if magic != HEADER_MAGIC:
-            raise VideoPacketError("bad magic 0x%04x" % magic)
-        return cls(frame_id, seq, count, bool(flags & FLAG_KEYFRAME), ts, data)
+        frame_id, seq, count, keyframe, ts = parse_header(data)
+        return cls(frame_id, seq, count, keyframe, ts, data)
+
+
+def parse_header(data: bytes) -> Tuple[int, int, int, bool, float]:
+    """``(frame_id, seq, count, keyframe, capture_ts)`` of a video packet
+    — what the receiver needs of each one, without building a record."""
+    if len(data) < PACKET_HEADER.size:
+        raise VideoPacketError("short video packet")
+    magic, frame_id, seq, count, flags, ts = PACKET_HEADER.unpack_from(data)
+    if magic != HEADER_MAGIC:
+        raise VideoPacketError("bad magic 0x%04x" % magic)
+    return frame_id, seq, count, bool(flags & FLAG_KEYFRAME), ts
 
 
 def build_packet(
@@ -104,11 +112,12 @@ class VideoConfig:
 class VideoSource:
     """Emits packetised frames on the event loop at the configured fps.
 
-    ``sink(payload, frame_id)`` is called once per packet — normally bound
-    to ``TunnelClientBase.send_app_packet``.
+    ``sink(payloads, frame_id)`` is called once per frame with the frame's
+    packets in order — a frame enters the tunnel as one burst at one sim
+    instant; normally bound to ``TunnelClientBase.send_app_burst``.
     """
 
-    def __init__(self, loop: EventLoop, sink: Callable[[bytes, int], None],
+    def __init__(self, loop: EventLoop, sink: Callable[[List[bytes], int], None],
                  config: Optional[VideoConfig] = None, telemetry=None):
         self.loop = loop
         self.sink = sink
@@ -159,10 +168,11 @@ class VideoSource:
                               keyframe=keyframe, bytes=total, count=count)
                 sp.bind("frame", frame_id, sid)
         remaining = total
+        payloads = []
         for seq in range(count):
             size = min(cfg.packet_payload, max(PACKET_HEADER.size, remaining))
             remaining -= size
-            payload = build_packet(frame_id, seq, count, keyframe, capture_ts, size)
-            self.packets_emitted += 1
-            self.bytes_emitted += len(payload)
-            self.sink(payload, frame_id)
+            payloads.append(build_packet(frame_id, seq, count, keyframe, capture_ts, size))
+            self.bytes_emitted += size
+        self.packets_emitted += count
+        self.sink(payloads, frame_id)

@@ -22,7 +22,7 @@ class TestBaseAccounting:
         cc = CongestionController()
         cc.on_sent(1000, 0.0)
         assert cc.bytes_in_flight == 1000
-        cc.on_ack(400, 0.05, 0.1)
+        cc.on_ack([400], [0.05], 0.1)
         assert cc.bytes_in_flight == 600
         assert cc.delivered_bytes == 400
         cc.on_loss(600, 0.2)
@@ -50,7 +50,7 @@ class TestBaseAccounting:
 
     def test_inflight_never_negative(self):
         cc = CongestionController()
-        cc.on_ack(1000, 0.05, 0.0)
+        cc.on_ack([1000], [0.05], 0.0)
         assert cc.bytes_in_flight == 0
 
     def test_invalid_mss(self):
@@ -63,7 +63,7 @@ class TestNewReno:
         cc = NewRenoController()
         start = cc.cwnd
         cc.on_sent(start, 0.0)
-        cc.on_ack(start, 0.05, 0.1)
+        cc.on_ack([start], [0.05], 0.1)
         assert cc.cwnd == 2 * start
 
     def test_loss_halves_and_sets_ssthresh(self):
@@ -98,7 +98,7 @@ class TestNewReno:
         acked = 0
         while acked < before:
             cc.on_sent(DEFAULT_MSS, 0.0)
-            cc.on_ack(DEFAULT_MSS, 0.05, 0.1)
+            cc.on_ack([DEFAULT_MSS], [0.05], 0.1)
             acked += DEFAULT_MSS
         assert before < cc.cwnd <= before + 2 * DEFAULT_MSS
 
@@ -111,7 +111,7 @@ def drive_bbr(cc, rate_bps, rtt, seconds, start=0.0):
     while now < start + seconds:
         if cc.can_send(pkt):
             cc.on_sent(pkt, now)
-        cc.on_ack(pkt, rtt, now + rtt)
+        cc.on_ack([pkt], [rtt], now + rtt)
         now += interval
     return now
 

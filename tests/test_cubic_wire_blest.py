@@ -24,7 +24,7 @@ class TestCubic:
         cc = CubicController()
         start = cc.cwnd
         cc.on_sent(start, 0.0)
-        cc.on_ack(start, 0.05, 0.1)
+        cc.on_ack([start], [0.05], 0.1)
         assert cc.cwnd == 2 * start
 
     def test_loss_multiplies_by_beta(self):
@@ -61,7 +61,7 @@ class TestCubic:
         now = 0.2
         for _ in range(3000):
             cc.on_sent(DEFAULT_MSS, now)
-            cc.on_ack(DEFAULT_MSS, 0.05, now)
+            cc.on_ack([DEFAULT_MSS], [0.05], now)
             now += 0.002
         assert cc.cwnd > reduced * 1.2
 

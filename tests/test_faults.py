@@ -439,7 +439,7 @@ class TestHealthStateMachine:
         p = self._path()
         mon = self._monitor(p, ewma_alpha=0.5)
         p.on_sent(1000, 0.0)
-        p.on_acked(1000, 0.05, 0.0, 0.05)  # healthy baseline
+        p.on_acked([1000], [0.05], 0.05, 0.0)  # healthy baseline
         for t in range(10):
             p.on_lost(1000, 0.1 + t * 0.01)
         moved = mon.tick(0.3)
@@ -455,7 +455,7 @@ class TestHealthStateMachine:
         mon.tick(0.2)
         assert p.health == HEALTH_DEGRADED
         for _ in range(10):
-            p.on_acked(1000, 0.05, 0.0, 0.3)
+            p.on_acked([1000], [0.05], 0.3, 0.0)
         moved = mon.tick(0.35)
         assert [(m[1], m[2]) for m in moved] == [(HEALTH_DEGRADED, HEALTH_ACTIVE)]
 
@@ -503,7 +503,7 @@ class TestHealthStateMachine:
         mon.tick(p.probe_next_time)
         assert p.health == HEALTH_PROBING
         now = p.health_since + 0.05
-        p.on_acked(1000, 0.05, 0.0, now)
+        p.on_acked([1000], [0.05], now, 0.0)
         moved = mon.tick(now + 0.001)
         assert [(m[1], m[2]) for m in moved] == [(HEALTH_PROBING, HEALTH_ACTIVE)]
         assert p.loss_ewma == 0.0 and p.probe_backoff == 0.0
@@ -576,7 +576,7 @@ class TestColdStartRegression:
     def test_idle_path_with_everything_acked_is_quiet(self):
         p = PathState(0, cc=CongestionController(), initial_rtt=0.1)
         p.on_sent(1000, 1.0)
-        p.on_acked(1000, 0.05, 0.0, 1.05)
+        p.on_acked([1000], [0.05], 1.05, 0.0)
         # nothing outstanding: silence is zero no matter how long idle
         assert p.ack_silence(50.0) == 0.0
         assert not p.potentially_failed(50.0)

@@ -29,7 +29,7 @@ class TestPathState:
 
     def test_on_acked_updates_everything(self):
         p = make_path(0)
-        p.on_acked(1000, 0.04, 0.0, now=1.0)
+        p.on_acked([1000], [0.04], 1.0, 0.0)
         assert p.packets_acked == 1
         assert p.last_ack_time == 1.0
         assert p.rtt.latest_rtt == pytest.approx(0.04)
@@ -43,8 +43,22 @@ class TestPathState:
     def test_ack_resets_failure_suspicion(self):
         p = make_path(0, srtt=0.05)
         p.on_sent(1000, now=0.0)
-        p.on_acked(1000, 0.05, 0.0, now=9.9)
+        p.on_acked([1000], [0.05], 9.9, 0.0)
         assert not p.potentially_failed(now=10.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known, pinned by the golden digests: ACK silence is measured from "
+        "the last ACK but only while data is in flight, so a path idle for "
+        "> 3 PTO is 'potentially failed' the instant it is used again "
+        "(docs/robustness.md, ROADMAP item 1); fixing it moves every sim_* "
+        "value and lands as its own digest-moving PR"))
+    def test_idle_healthy_path_not_failed_by_its_first_send(self):
+        p = make_path(0, srtt=0.05)
+        p.on_sent(1000, now=0.0)
+        p.on_acked([1000], [0.05], 0.05, 0.0)  # all delivered: idle, healthy
+        assert p.is_usable(now=10.0)
+        p.on_sent(1000, now=10.0)
+        assert p.is_usable(now=10.0)
 
     def test_never_sent_never_failed(self):
         p = make_path(0)
@@ -69,17 +83,14 @@ class TestPathManager:
         with pytest.raises(ValueError):
             m.add(make_path(0))
 
-    def test_with_window_filters(self):
-        a = make_path(0, cwnd=100)
-        b = make_path(1, cwnd=100000)
-        m = PathManager([a, b])
-        assert [p.path_id for p in m.with_window(5000, now=0.0)] == [1]
-
-    def test_total_available_packets(self):
-        a = make_path(0, cwnd=2800)
-        b = make_path(1, cwnd=14000)
-        m = PathManager([a, b])
-        assert m.total_available_packets(now=0.0) == 2 + 10
+    def test_usable_is_a_fresh_id_ordered_list_of_paths_in_service(self):
+        a, b, c = make_path(2), make_path(0), make_path(1)
+        c.enabled = False
+        m = PathManager([a, b, c])
+        usable = m.usable(now=0.0)
+        assert [p.path_id for p in usable] == [0, 2]
+        usable.clear()  # the transport edits its copy in place
+        assert [p.path_id for p in m.usable(now=0.0)] == [0, 2]
 
 
 class TestMinRtt:
@@ -185,7 +196,10 @@ class TestBonding:
         # pinned path goes quiet with data outstanding
         pinned.on_sent(1000, now=0.0)
         later = 100.0
-        sel = sched.select(paths, 1000, now=later)
+        # schedulers choose among the paths the transport found in service
+        usable = PathManager(paths).usable(later)
+        assert pinned not in usable
+        sel = sched.select(usable, 1000, now=later)
         assert sel and sel[0].path_id != pinned.path_id
 
     def test_blocked_pinned_path_sends_nothing(self):

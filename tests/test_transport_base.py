@@ -25,8 +25,9 @@ class EchoClient(TunnelClientBase):
     def _build_frame(self, pkt: AppPacket):
         return XncNcFrame.original(pkt.packet_id, frame_payload(pkt.payload))
 
-    def _on_app_acked(self, app_ids, info):
-        self.acked_ids.extend(app_ids)
+    def _on_app_acked(self, infos):
+        for info in infos:
+            self.acked_ids.extend(info.app_ids)
 
     def _on_cc_lost(self, info, now):
         self.cc_lost_infos.append(info)
@@ -163,3 +164,132 @@ class TestServerBehaviour:
         client.send_app_packet(b"x")
         loop.run_until(1.0)
         assert client.stats.acks_received == 0
+
+
+# -- burst == per-packet -------------------------------------------------------
+
+BURST_TRANSPORTS = ["cellfusion", "ECF", "RE", "pluribus", "bonding"]
+
+#: (sim time, packets, frame id): a warm-up frame that spreads over the
+#: paths and gets them all ACKed, then — after every path sat idle for far
+#: more than 3 PTO — a frame larger than the ingress limit whose first
+#: packets wake the idle paths, and a third arriving while every window
+#: is still full of the second.
+BURST_SCRIPT = [(0.01, 40, 0), (1.5, 600, 1), (1.52, 90, 2)]
+
+
+def _burst_rig(transport, as_bursts):
+    """One world driven by BURST_SCRIPT, through ``send_app_burst`` or a
+    loop of ``send_app_packet``; returns everything observable."""
+    from repro.experiments.runner import make_transport
+
+    loop = EventLoop()
+    shape = [(40.0, 0.010), (30.0, 0.015), (12.0, 0.030), (8.0, 0.040)]
+    traces = [LinkTrace("p%d" % i, opportunities_from_rate(rate, 20.0), 20.0,
+                        base_delay=delay)
+              for i, (rate, delay) in enumerate(shape)]
+    emu = MultipathEmulator(loop, traces, seed=3)
+    received = []
+    client, server = make_transport(
+        transport, loop, emu, lambda pid, data, t: received.append((pid, t)))
+    wire = []
+    send_uplink = emu.send_uplink
+
+    def logging_send_uplink(path_id, pkt, size):
+        heads = tuple((f.header.start_id, f.header.packet_count)
+                      for f in pkt.frames if isinstance(f, XncNcFrame))
+        wire.append((path_id, pkt.packet_number, heads, size, pkt.sent_time))
+        return send_uplink(path_id, pkt, size)
+
+    emu.send_uplink = logging_send_uplink
+    admitted = []
+    probes = {}
+
+    def inject(count, frame_id):
+        payloads = [bytes([frame_id]) * (1200 - (i % 7)) for i in range(count)]
+        before = len(wire)
+        if as_bursts:
+            admitted.extend(client.send_app_burst(payloads, frame_id))
+        else:
+            admitted.extend(client.send_app_packet(p, frame_id) for p in payloads)
+        probes[frame_id] = {
+            "first_paths": [w[0] for w in wire[before:before + 8]],
+            "sent_now": len(wire) - before,
+            "backlog": client.backlog_packets,
+            "usable": [p.is_usable(loop.now) for p in client.paths],
+        }
+
+    for when, count, frame_id in BURST_SCRIPT:
+        loop.schedule(when, inject, count, frame_id)
+    loop.run_until(4.0)
+    client.close()
+    server.close()
+    scheduler_state = {k: v for k, v in vars(client.scheduler).items()}
+    paths = [(p.path_id, p.packets_sent, p.packets_acked, p.packets_lost,
+              p.cc.cwnd, p.cc.bytes_in_flight, p.rtt.smoothed_rtt, p.health,
+              p.last_ack_time) for p in client.paths]
+    return {
+        "admitted": admitted,
+        "stats": client.stats.as_dict(),
+        "wire": wire,
+        "received": received,
+        "uplinks": {k: s.as_dict() for k, s in emu.uplink_stats().items()},
+        "downlinks": {k: s.as_dict() for k, s in emu.downlink_stats().items()},
+        "scheduler": scheduler_state,
+        "paths": paths,
+        "health_transitions": client.health.transitions,
+        "probes": probes,
+        "client": client,
+    }
+
+
+class TestBurstEqualsPerPacket:
+    """One ``send_app_burst`` == the same packets through a loop of
+    ``send_app_packet``, for every kind of send path — the hoisting of
+    per-instant work out of the per-packet loop is exact."""
+
+    @pytest.mark.parametrize("transport", BURST_TRANSPORTS)
+    def test_twin_rigs_identical(self, transport):
+        burst = _burst_rig(transport, as_bursts=True)
+        single = _burst_rig(transport, as_bursts=False)
+        for key in ("admitted", "stats", "wire", "received", "uplinks",
+                    "downlinks", "scheduler", "paths", "health_transitions",
+                    "probes"):
+            assert burst[key] == single[key], key
+
+    @pytest.mark.parametrize("transport", BURST_TRANSPORTS)
+    def test_script_reaches_the_hazards(self, transport):
+        rig = _burst_rig(transport, as_bursts=True)
+        stats, probes = rig["stats"], rig["probes"]
+        # (d) the big frame's first packets woke paths idle for > 3 PTO,
+        # and being used is what made them look failed
+        assert not all(probes[1]["usable"])
+        assert rig["health_transitions"] > 0
+        if transport == "bonding":
+            # no window ever binds plain UDP; the flow was pinned to one
+            # path and re-hashed the moment its own send "failed" it
+            assert len(set(probes[1]["first_paths"])) == 2
+            return
+        # (a) the 600-packet frame overran the 512-packet ingress queue,
+        # dropping exactly the tail the live queue length dictates
+        assert stats["ingress_dropped"] > 0
+        assert rig["admitted"].count(None) == stats["ingress_dropped"]
+        assert probes[1]["backlog"] == 512
+        # the third frame met a tunnel with every window still full
+        assert probes[2]["sent_now"] == 0 and probes[2]["backlog"] > 0
+        if transport == "pluribus":
+            # (c) blocks closed — and their repairs went out — between
+            # first transmissions of one frame
+            assert rig["client"].blocks_closed > 0
+            assert stats["recovery_packets"] > 0
+        if transport == "ECF":
+            # (b) a decision taken with the fast path blocked: it depends
+            # on the backlog hint at that moment
+            assert rig["client"].scheduler.queued_bytes_hint > 0
+
+    def test_burst_of_one_is_send_app_packet(self):
+        loop, emu, client, server, received = build_world()
+        assert client.send_app_burst([b"a", b"b"], frame_id=7) == [0, 1]
+        assert client.send_app_packet(b"c", frame_id=7) == 2
+        loop.run_until(1.0)
+        assert sorted(pid for pid, _d, _t in received) == [0, 1, 2]

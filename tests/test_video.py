@@ -64,7 +64,8 @@ class TestVideoSource:
     def _run(self, cfg, seconds):
         loop = EventLoop()
         sent = []
-        src = VideoSource(loop, lambda payload, fid: sent.append((payload, fid)), cfg)
+        # the sink gets one burst per frame; the tests read it per packet
+        src = VideoSource(loop, lambda burst, fid: sent.extend((p, fid) for p in burst), cfg)
         src.start()
         loop.run_until(seconds)
         src.stop()

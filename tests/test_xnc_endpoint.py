@@ -75,6 +75,32 @@ class TestCleanPath:
         assert client.stats.redundancy_ratio < 0.01
 
 
+class TestBlockedPumpBuildsNothing:
+    def test_one_encode_per_transmitted_packet_when_window_limited(self):
+        """A pump that finds every window full (each ACK and tick until
+        one reopens) must not build — for XNC: encode — the head-of-line
+        frame it then cannot send."""
+        loop, emu, client, server, received = build_xnc(rate=4.0)
+        for p in client.paths:
+            p.cc.cwnd = 3000  # two packets per path at a time
+        encodes = []
+        encode = client.encoder.encode
+
+        def counting_encode(start_id, count, seed):
+            encodes.append(start_id)
+            return encode(start_id, count, seed)
+
+        client.encoder.encode = counting_encode
+        for _ in range(60):
+            client.send_app_packet(b"w" * 1200)
+        assert client.backlog_packets > 50  # the windows are the limit
+        loop.run_until(0.6)
+        stats = client.stats
+        assert stats.first_tx_packets == 60 and stats.acks_received > 20
+        assert stats.duplicate_packets == 0
+        assert len(encodes) == stats.first_tx_packets + stats.recovery_packets
+
+
 class TestLossRecovery:
     def test_random_loss_recovered_by_coding(self):
         loop, emu, client, server, received = build_xnc(

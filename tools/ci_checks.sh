@@ -48,7 +48,13 @@
 #      scenario must pass its invariant oracles twice with byte-identical
 #      digests, then a small derandomized hypothesis campaign asserts the
 #      oracles over generated fault plans (a failure would shrink to a
-#      minimal replayable plan in the gitignored chaos-shrunk.json).
+#      minimal replayable plan in the gitignored chaos-shrunk.json);
+#   9. the perf ledger (90 s budget): `perfledger`'s own tests (contract,
+#      layer-map totality, compare, sensitivity — tier-1 does not collect
+#      them) and `python -m perfledger run --smoke`, which runs all four
+#      benchmark workloads at 1.5 sim-s and fails on a broken digest,
+#      packet total or mechanism guard — so a change that breaks the
+#      benchmark the driver will run is caught here, not there.
 #
 # Usage: tools/ci_checks.sh [--fast]
 #   --fast skips stage 3 (the overhead micro-benchmarks).
@@ -238,6 +244,18 @@ elapsed_ms=$(( (t1 - t0) / 1000000 ))
 echo "scenario zoo + campaign in ${elapsed_ms} ms"
 if [ "$elapsed_ms" -ge 45000 ]; then
     echo "scenario stage blew its 45 s wall-clock budget (${elapsed_ms} ms)" >&2
+    exit 1
+fi
+
+echo "== stage 9: perfledger tests + smoke run (90 s budget) =============="
+t0=$(date +%s%N)
+python -m pytest perfledger/tests -q
+python -m perfledger run --smoke > /dev/null
+t1=$(date +%s%N)
+elapsed_ms=$(( (t1 - t0) / 1000000 ))
+echo "perfledger tests + smoke in ${elapsed_ms} ms"
+if [ "$elapsed_ms" -ge 90000 ]; then
+    echo "perfledger stage blew its 90 s wall-clock budget (${elapsed_ms} ms)" >&2
     exit 1
 fi
 
