@@ -51,9 +51,9 @@ logging namespace once for the whole process.
 
 ``run --spans-out FILE`` arms causal span tracing and exports the span
 tree as JSONL; ``--chrome-trace FILE`` exports the same tree as Chrome
-trace-event JSON loadable in Perfetto / ``chrome://tracing``.
-``--profile`` attaches the sim-time profiler and prints per-component
-event-loop attribution after the run (see docs/telemetry.md).
+trace-event JSON loadable in Perfetto / ``chrome://tracing``.  For where
+the wall time of a run goes, layer by layer, use ``python -m perfledger
+run --workload ...`` (see perfledger/README.md).
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         faults=plan,
         fault_seed=args.fault_seed,
         spans=spans,
-        profile=args.profile,
     )
     print(format_qoe_rows({args.transport: result}))
     if result.packet_delays:
@@ -149,11 +148,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n = result.telemetry.spans.export_chrome_trace(args.chrome_trace)
             print("wrote %d trace events to %s (load in Perfetto)"
                   % (n, args.chrome_trace))
-    if args.profile and result.profile is not None:
-        from .obs import SimProfiler
-
-        print()
-        print(SimProfiler.format_report(result.profile))
     if args.sanitize:
         from .sanitizer import registered_globals, totals
 
@@ -496,9 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--chrome-trace", metavar="FILE",
                        help="arm span tracing and export Chrome trace-event "
                             "JSON (load in Perfetto / chrome://tracing)")
-    p_run.add_argument("--profile", action="store_true",
-                       help="attach the sim-time profiler and print "
-                            "per-component event-loop attribution")
     p_run.set_defaults(func=_cmd_run)
 
     p_rep = sub.add_parser("report", help="run one session and write the "
@@ -647,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser("lint", help="run the repo protocol/determinism linter")
     p_lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                        help="arguments forwarded to tools.lint (e.g. --json, "
-                             "--rule no-wall-clock, paths)")
+                        help="arguments forwarded to tools.lint (e.g. "
+                             "--format json, --rule no-wall-clock, paths)")
     p_lint.set_defaults(func=_cmd_lint)
 
     p_bench = sub.add_parser("bench", help="run the hot-path microbenchmarks")
@@ -663,7 +654,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "lint":
         # forward everything after "lint" verbatim — argparse REMAINDER
-        # refuses to capture leading option strings like --json
+        # refuses to capture leading option strings like --format
         configure_logging("warning")
         import tools.lint as lint
 

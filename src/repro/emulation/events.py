@@ -78,11 +78,6 @@ class EventLoop:
         self._counter = itertools.count()
         self._cancelled = 0
         self.events_processed = 0
-        #: Optional :class:`repro.obs.SimProfiler` (duck-typed: anything
-        #: with ``call(callback, args, when)``).  None keeps dispatch bare
-        #: — one local ``is None`` test per event, bounded by the
-        #: disabled-overhead gate.
-        self.profiler = None
 
     def pending_events(self) -> int:
         """Live (non-cancelled) events still in the heap."""
@@ -157,10 +152,7 @@ class EventLoop:
         entry[_CALLBACK] = None
         entry[_ARGS] = ()
         self.events_processed += 1
-        if self.profiler is None:
-            callback(*args)
-        else:
-            self.profiler.call(callback, args, self.now)
+        callback(*args)
         return True
 
     def run_until(self, end_time: float) -> None:
@@ -171,7 +163,6 @@ class EventLoop:
         than paying two method calls per event via peek_time()/step().
         """
         heap = self._heap
-        profiler = self.profiler
         while heap:
             head = heap[0]
             if head[_CALLBACK] is None:
@@ -187,10 +178,7 @@ class EventLoop:
             entry[_CALLBACK] = None
             entry[_ARGS] = ()
             self.events_processed += 1
-            if profiler is None:
-                callback(*args)
-            else:
-                profiler.call(callback, args, when)
+            callback(*args)
         self.now = max(self.now, end_time)
 
     def run(self, max_events: int = 50_000_000) -> None:

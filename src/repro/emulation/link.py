@@ -66,7 +66,7 @@ class LinkFaultState:
     the link reads it through a single ``self.fault`` attribute that is
     ``None`` whenever no fault is active, so the un-faulted hot path pays
     one attribute load and one branch (the telemetry/sanitizer contract,
-    gated by ``tools/check_faults_overhead.py``).
+    gated by ``tools/check_overhead.py``).
 
     ``rng`` is the injector's per-link seeded stream — fault randomness
     never touches the trace loss RNG, so arming a plan perturbs nothing

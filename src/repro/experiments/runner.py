@@ -32,7 +32,7 @@ name             configuration
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..baselines.bonding import BondingTunnelClient, build_bonding_paths
@@ -45,6 +45,7 @@ from ..baselines.reliable import (
 )
 from ..core.endpoint import XncConfig, XncTunnelClient, XncTunnelServer
 from ..core.loss_detection import QoeLossPolicy
+from ..determinism import digest
 from ..emulation.cellular import generate_fleet_traces
 from ..emulation.emulator import MultipathEmulator
 from ..emulation.events import EventLoop
@@ -72,22 +73,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-TRANSPORT_NAMES = (
-    "cellfusion",
-    "xnc",
-    "mpquic",
-    "mptcp",
-    "bonding",
-    "minRTT",
-    "RE",
-    "XLINK",
-    "ECF",
-    "pluribus",
-    "fec",
-    "xnc-no-rlnc",
-    "xnc-pto-only",
-)
-
 
 @dataclass
 class StreamRunResult:
@@ -114,13 +99,24 @@ class StreamRunResult:
     #: Fault-injection accounting when a plan was armed (applied/lifted/
     #: nat_flushes/active_end plus health-machine counters), else None.
     fault_summary: Optional[dict] = None
-    #: Structured :meth:`repro.obs.SimProfiler.report` for profile=True
-    #: runs (deterministic counts + informational wall time), else None.
-    profile: Optional[dict] = None
 
     @property
     def delivery_ratio(self) -> float:
         return self.packets_received / self.packets_sent if self.packets_sent else 0.0
+
+    def digest(self) -> str:
+        """Canonical content hash of what the session did
+        (:func:`repro.determinism.digest`): every packet delay, the QoE
+        triple, the packet totals, every client counter, the per-frame
+        statuses and the terminal error."""
+        return digest({
+            "delays": self.packet_delays,
+            "qoe": [self.qoe.avg_fps, self.qoe.stall_ratio, self.qoe.ssim],
+            "packets": [self.packets_sent, self.packets_received],
+            "stats": self.client_stats.as_dict(),
+            "frames": self.frame_statuses,
+            "terminal_error": self.terminal_error,
+        })
 
     def censored_packet_delays(self, penalty: float = 1.0) -> List[float]:
         """Delay distribution with never-delivered packets censored at
@@ -144,6 +140,68 @@ def build_paths(emulator: MultipathEmulator, cc_factory: Callable, names: Option
     return manager
 
 
+def _xnc_client(ablate: Optional[Callable[[XncConfig], XncConfig]] = None) -> Callable:
+    """XNC client factory.  ``ablate`` must return a *copy* of the
+    caller's config (``dataclasses.replace``), so an ablation arm never
+    leaks into a later run that reuses the same ``XncConfig`` object."""
+    def make(loop, emulator, paths, cfg, **obs):
+        cfg = cfg or XncConfig()
+        return XncTunnelClient(loop, emulator, paths,
+                               ablate(cfg) if ablate else cfg, **obs)
+    return make
+
+
+def _reliable_client(scheduler_cls, rto_min: Optional[float] = None) -> Callable:
+    def make(loop, emulator, paths, cfg, **obs):
+        client = ReliableTunnelClient(loop, emulator, paths, scheduler_cls(), **obs)
+        if rto_min is not None:
+            client.rto_min = rto_min
+        return client
+    return make
+
+
+def _make_bonding(loop, emulator, paths, cfg, **obs):
+    return BondingTunnelClient(loop, emulator, **obs)
+
+
+def _make_pluribus(loop, emulator, paths, cfg, **obs):
+    return PluribusTunnelClient(loop, emulator, paths, PluribusConfig(), **obs)
+
+
+def _make_fec(loop, emulator, paths, cfg, **obs):
+    return FecTunnelClient(loop, emulator, paths, FecConfig(), **obs)
+
+
+#: name -> (congestion controller per path, or None for a client that
+#: builds its own paths; client factory; server class).
+_TRANSPORTS: Dict[str, Tuple[Optional[type], Callable, type]] = {
+    "cellfusion": (BbrController, _xnc_client(), XncTunnelServer),
+    "xnc": (BbrController, _xnc_client(), XncTunnelServer),
+    "mpquic": (BbrController, _reliable_client(MinRttScheduler), InOrderTunnelServer),
+    # kernel TCP RTO_min
+    "mptcp": (NewRenoController, _reliable_client(MinRttScheduler, rto_min=0.200),
+              InOrderTunnelServer),
+    "bonding": (None, _make_bonding, UnorderedTunnelServer),
+    "minRTT": (BbrController, _reliable_client(MinRttScheduler), InOrderTunnelServer),
+    "RE": (BbrController, _reliable_client(RedundantScheduler), InOrderTunnelServer),
+    "XLINK": (BbrController, _reliable_client(XlinkScheduler), InOrderTunnelServer),
+    "ECF": (BbrController, _reliable_client(EcfScheduler), InOrderTunnelServer),
+    "pluribus": (BbrController, _make_pluribus, XncTunnelServer),
+    "fec": (BbrController, _make_fec, XncTunnelServer),
+    "xnc-no-rlnc": (
+        BbrController,
+        _xnc_client(lambda cfg: replace(cfg, coding_enabled=False)),
+        XncTunnelServer),
+    "xnc-pto-only": (
+        BbrController,
+        _xnc_client(lambda cfg: replace(
+            cfg, loss_policy=QoeLossPolicy(app_threshold=None))),
+        XncTunnelServer),
+}
+
+TRANSPORT_NAMES = tuple(_TRANSPORTS)
+
+
 def make_transport(
     name: str,
     loop: EventLoop,
@@ -159,70 +217,16 @@ def make_transport(
     semantics: ``None`` defers to the ``REPRO_SANITIZE`` env hook,
     ``True``/``False`` force it, and a sanitizer instance is shared.
     """
-    tel = telemetry
-    san = sanitize
-    if name in ("cellfusion", "xnc"):
-        paths = build_paths(emulator, BbrController)
-        client = XncTunnelClient(loop, emulator, paths, xnc_config or XncConfig(),
-                                 telemetry=tel, sanitizer=san)
-        server = XncTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "xnc-no-rlnc":
-        paths = build_paths(emulator, BbrController)
-        cfg = xnc_config or XncConfig()
-        cfg.coding_enabled = False
-        client = XncTunnelClient(loop, emulator, paths, cfg, telemetry=tel, sanitizer=san)
-        server = XncTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "xnc-pto-only":
-        paths = build_paths(emulator, BbrController)
-        cfg = xnc_config or XncConfig()
-        cfg.loss_policy = QoeLossPolicy(app_threshold=None)
-        client = XncTunnelClient(loop, emulator, paths, cfg, telemetry=tel, sanitizer=san)
-        server = XncTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "mpquic":
-        paths = build_paths(emulator, BbrController)
-        client = ReliableTunnelClient(loop, emulator, paths, MinRttScheduler(),
-                                      telemetry=tel, sanitizer=san)
-        server = InOrderTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "mptcp":
-        paths = build_paths(emulator, NewRenoController)
-        client = ReliableTunnelClient(loop, emulator, paths, MinRttScheduler(),
-                                      telemetry=tel, sanitizer=san)
-        client.rto_min = 0.200  # kernel TCP RTO_min
-        server = InOrderTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "bonding":
-        client = BondingTunnelClient(loop, emulator, telemetry=tel, sanitizer=san)
-        server = UnorderedTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "minRTT":
-        paths = build_paths(emulator, BbrController)
-        client = ReliableTunnelClient(loop, emulator, paths, MinRttScheduler(),
-                                      telemetry=tel, sanitizer=san)
-        server = InOrderTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "RE":
-        paths = build_paths(emulator, BbrController)
-        client = ReliableTunnelClient(loop, emulator, paths, RedundantScheduler(),
-                                      telemetry=tel, sanitizer=san)
-        server = InOrderTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "XLINK":
-        paths = build_paths(emulator, BbrController)
-        client = ReliableTunnelClient(loop, emulator, paths, XlinkScheduler(),
-                                      telemetry=tel, sanitizer=san)
-        server = InOrderTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "ECF":
-        paths = build_paths(emulator, BbrController)
-        client = ReliableTunnelClient(loop, emulator, paths, EcfScheduler(),
-                                      telemetry=tel, sanitizer=san)
-        server = InOrderTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "pluribus":
-        paths = build_paths(emulator, BbrController)
-        client = PluribusTunnelClient(loop, emulator, paths, PluribusConfig(),
-                                      telemetry=tel, sanitizer=san)
-        server = XncTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    elif name == "fec":
-        paths = build_paths(emulator, BbrController)
-        client = FecTunnelClient(loop, emulator, paths, FecConfig(), telemetry=tel, sanitizer=san)
-        server = XncTunnelServer(loop, emulator, receiver_sink, telemetry=tel, sanitizer=san)
-    else:
-        raise ValueError("unknown transport %r (choose from %s)" % (name, ", ".join(TRANSPORT_NAMES)))
+    try:
+        cc_class, make_client, server_class = _TRANSPORTS[name]
+    except KeyError:
+        raise ValueError("unknown transport %r (choose from %s)"
+                         % (name, ", ".join(TRANSPORT_NAMES))) from None
+    paths = build_paths(emulator, cc_class) if cc_class is not None else None
+    client = make_client(loop, emulator, paths, xnc_config,
+                         telemetry=telemetry, sanitizer=sanitize)
+    server = server_class(loop, emulator, receiver_sink,
+                          telemetry=telemetry, sanitizer=sanitize)
     return client, server
 
 
@@ -239,7 +243,6 @@ def run_stream(
     faults=None,
     fault_seed: int = 0,
     spans: bool = False,
-    profile: bool = False,
 ) -> StreamRunResult:
     """Run one streaming session end to end and analyse it.
 
@@ -278,11 +281,6 @@ def run_stream(
     ``result.telemetry.spans`` (export with
     :meth:`~repro.obs.SpanRecorder.export_jsonl` /
     :meth:`~repro.obs.SpanRecorder.export_chrome_trace`).
-
-    ``profile`` attaches a :class:`~repro.obs.SimProfiler` to the event
-    loop and fills the result's ``profile`` field with per-component
-    callback attribution (deterministic call counts; wall time is
-    informational).
     """
     from ..sanitizer.stateguard import state_guard_or_default
 
@@ -300,12 +298,6 @@ def run_stream(
         tel.bind_clock(loop)
         if spans:
             tel.enable_spans()
-    profiler = None
-    if profile:
-        from ..obs import SimProfiler
-
-        profiler = SimProfiler()
-        loop.profiler = profiler
     if uplink_traces is None:
         uplink_traces = generate_fleet_traces(duration=duration, seed=seed)
     emulator = MultipathEmulator(loop, uplink_traces, seed=seed, telemetry=tel)
@@ -385,7 +377,6 @@ def run_stream(
         telemetry=tel,
         terminal_error=getattr(client, "terminal_error", None),
         fault_summary=fault_summary,
-        profile=profiler.report() if profiler is not None else None,
     )
 
 

@@ -12,17 +12,16 @@ injector, streams video through the adversity, and returns a
 * **determinism**: :attr:`SoakReport.digest` hashes the run's observable
   outcome — the same ``seed`` must reproduce it byte for byte.
 
-``tools/chaos_soak.py`` runs this from the command line and CI stage 5
-runs one short seeded soak as a smoke test.
+``repro chaos zoo`` / ``repro chaos campaign`` run this harness from the
+command line (and in CI) under hand-written and generated plans.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..determinism import digest
 from .plan import FaultPlan, random_plan
 
 __all__ = [
@@ -65,8 +64,8 @@ class SoakReport:
     #: oracle input; a completed sanitized run implies zero violations).
     sanitizer_checks: int = 0
     sanitizer_violations: int = 0
-    #: Delivered-packet delay samples (seconds); digested rounded, kept
-    #: raw here so differential runs can render CDFs without re-running.
+    #: Delivered-packet delay samples (seconds), kept so differential
+    #: runs can render CDFs without re-running.
     packet_delays: List[float] = field(default_factory=list)
     #: The plan the soak ran under (oracle input; not part of the digest
     #: payload beyond its event list, which already participates).
@@ -88,11 +87,6 @@ class SoakReport:
             raise SoakError("fault overlay still active after the horizon")
         if self.faults_lifted > self.faults_applied:
             raise SoakError("lifted more fault windows than were applied")
-
-
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def run_chaos_soak(
@@ -161,16 +155,16 @@ def run_chaos_soak(
         plan=plan,
         telemetry=result.telemetry,
     )
-    report.digest = _digest({
+    report.digest = digest({
         "seed": seed,
         "transport": transport,
         "plan": [e.as_dict() for e in plan],
         "packets_sent": report.packets_sent,
         "packets_received": report.packets_received,
-        "delays": [round(d, 9) for d in result.packet_delays],
+        "delays": result.packet_delays,
         "client_stats": stats.as_dict(),
-        "uplink_loss": {str(k): round(v, 9) for k, v in result.uplink_loss_rates.items()},
-        "faults": {k: v for k, v in faults.items()},
+        "uplink_loss": {str(k): v for k, v in result.uplink_loss_rates.items()},
+        "faults": faults,
         "terminal_error": report.terminal_error,
     })
     return report

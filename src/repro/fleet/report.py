@@ -15,11 +15,11 @@ config and verifies the stored digest still reproduces.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Dict, List
 
+from ..determinism import digest, hex_floats
 from ..obs.aggregate import RunAggregate
 from .config import FleetConfig
 
@@ -31,22 +31,6 @@ __all__ = [
 #: Config fields that change how a run executes but never what it
 #: computes; the digest must ignore them.
 _SHAPE_ONLY_CONFIG = ("shards", "sanitize", "shard_retries")
-
-
-def hex_floats(value: Any) -> Any:
-    """Recursively replace floats with ``float.hex()`` strings.
-
-    Canonicalises a JSON-able document for digesting: hex rendering is
-    bit-exact both ways, so two documents digest equal iff every float
-    in them is the *same double*, not merely printed alike.
-    """
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {k: hex_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [hex_floats(v) for v in value]
-    return value
 
 
 @dataclass
@@ -133,22 +117,20 @@ class FleetReport:
 
         Excludes run-shape knobs (``shards``, ``sanitize``) and wall
         time; everything else — including every per-vehicle float and
-        every histogram bucket — participates, hex-canonicalised.
+        every histogram bucket — participates.
         """
         config = {k: v for k, v in self.config.items()
                   if k not in _SHAPE_ONLY_CONFIG}
-        return hex_floats({
+        return {
             "config": config,
             "vehicles": self.vehicles,
             "control": self.control,
             "aggregate": self.aggregate_state,
-        })
+        }
 
     @property
     def digest(self) -> str:
-        doc = json.dumps(self.digest_document(), sort_keys=True,
-                         separators=(",", ":"))
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+        return digest(self.digest_document())
 
     # -- (de)serialisation -------------------------------------------------
 

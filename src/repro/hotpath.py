@@ -1,14 +1,14 @@
-"""Explicit hot-path registry — the static seed for ``repro lint --perf``.
+"""Explicit hot-path registry — the static seed for the hot-path lint rules.
 
 CellFusion's data plane must sustain per-packet encode/recode/decode at
 line rate (§5): any allocation churn or slow idiom on these paths is a
 throughput bug even when it is semantically correct.  Decorating a
 function with :func:`hot_path` declares "this runs at packet rate":
 
-* the perf lint pass (``tools/lint/perf.py``) seeds its call-graph
+* the hot-path lint rules (``tools/lint/perf.py``) seed their call-graph
   hotness propagation from every ``@hot_path`` function (recognised
   *syntactically*, by decorator name, so analysis never imports project
-  code) in addition to the bench-suite entry points, and analyzes
+  code) in addition to the bench-suite entry points, and analyze
   everything transitively reachable;
 * at runtime the decorator is a no-op apart from recording the function
   in :func:`hot_registry`, which tests use to assert the registry and

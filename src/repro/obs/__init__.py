@@ -1,11 +1,10 @@
-"""Unified observability layer: metrics, trace, timelines, spans, profiler.
+"""Unified observability layer: metrics, trace, timelines, spans.
 
 The one import site for instrumentation: endpoints take a
 :class:`Telemetry` handle (defaulting to the no-op :data:`NULL_TELEMETRY`)
 and emit lifecycle events, metrics, per-path samples, and causal spans
-through it.  :class:`SimProfiler` attaches to the event loop for
-per-component time attribution, and :class:`RunAggregate` is the
-mergeable fleet-rollup primitive.  See ``docs/telemetry.md``.
+through it.  :class:`RunAggregate` is the mergeable fleet-rollup
+primitive.  See ``docs/telemetry.md``.
 """
 
 from .aggregate import (
@@ -16,7 +15,6 @@ from .aggregate import (
     worst_frames,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profiler import SimProfiler, component_of
 from .spans import NULL_SPANS, NullSpanRecorder, Span, SpanRecorder
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .timeline import DEFAULT_SAMPLE_INTERVAL, PathSample, PathTimelineSampler, sample_path
@@ -48,8 +46,6 @@ __all__ = [
     "SpanRecorder",
     "NullSpanRecorder",
     "NULL_SPANS",
-    "SimProfiler",
-    "component_of",
     "RunAggregate",
     "STAGES",
     "decompose_spans",

@@ -37,7 +37,7 @@ in event order, so a seeded run exports a byte-identical span JSONL
 every time — the determinism regression suite enforces it.  Disabled
 recording is the shared :data:`NULL_SPANS` singleton (``enabled`` is
 False, every method a no-op), mirroring the telemetry/sanitizer
-null-singleton contract gated by ``tools/check_telemetry_overhead.py``.
+null-singleton contract gated by ``tools/check_overhead.py``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ evaluation needs:
 Every instrumented call site guards with ``if telemetry.enabled:`` so the
 disabled case — :data:`NULL_TELEMETRY`, a shared :class:`NullTelemetry`
 singleton — costs one attribute load and a branch on the hot path and
-nothing else.  ``tools/check_telemetry_overhead.py`` enforces that this
+nothing else.  ``tools/check_overhead.py`` enforces that this
 stays under budget.
 
 Export is JSONL: one self-describing record per line, discriminated by a

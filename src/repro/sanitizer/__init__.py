@@ -3,7 +3,7 @@
 Off by default (endpoints hold the shared :data:`NULL_SANITIZER`); enable
 with ``repro run --sanitize`` or ``REPRO_SANITIZE=1``.  Arming it also
 arms the module-state leak guard (:mod:`repro.sanitizer.stateguard`),
-the dynamic oracle behind the static ``repro lint --shard-safety``
+the dynamic oracle behind the static ``shard-*`` lint rules'
 classification.  See ``docs/static-analysis.md`` for the invariant
 catalogue with paper references.
 """

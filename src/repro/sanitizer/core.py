@@ -93,7 +93,7 @@ class NullSanitizer:
     ``if san.enabled:`` before building check arguments, so the disabled
     hot path never allocates — the same contract the telemetry layer's
     ``NULL_TELEMETRY`` makes, enforced by the same overhead gate style
-    (``tools/check_sanitizer_overhead.py``).
+    (``tools/check_overhead.py``).
     """
 
     enabled = False

@@ -1,6 +1,6 @@
 """Module-state snapshot/diff guard: the dynamic oracle for shard safety.
 
-The static shard-safety pass (``repro lint --shard-safety``) classifies
+The static shard-safety rules (``repro lint``, ``shard-*``) classify
 every module-level mutable global as either a leak hazard or shard-safe
 (pure memo, derivable, bounded) via ``# lint: shard-safe(<reason>)``
 pragmas.  This module keeps those classifications honest at run time:
@@ -24,7 +24,7 @@ Policies mirror the static classification:
 The guard follows the sanitizer's null-singleton pattern: a disabled
 run holds :data:`NULL_STATE_GUARD` (``enabled`` False, every method a
 no-op) so the unguarded path costs one attribute load and a branch —
-the same contract ``tools/check_sanitizer_overhead.py`` gates under 5%.
+the same contract ``tools/check_overhead.py`` gates under 5%.
 Fingerprints are pure reads over ``repr``-stable digests; taking one
 cannot perturb RNG streams, so seeded runs stay byte-identical with the
 guard armed.

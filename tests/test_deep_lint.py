@@ -1,30 +1,17 @@
-"""Self-test for the deep (whole-program) lint pass (``repro lint --deep``).
+"""Unit tests for the whole-program lint infrastructure.
 
-Mirrors ``tests/test_lint.py`` one level up: the same two enforcement
-guarantees, now for the cross-module rules:
-
-* ``test_repo_deep_lints_clean`` — the whole tree passes the deep pass,
-  so a PR introducing an import cycle, a dead export, mixed units, a
-  silent broad except, or a paper-constant drift fails the suite;
-* ``TestPlantedFixtures`` — every violation planted under
-  ``tests/fixtures/lint/deep/`` is detected with the correct rule id,
-  file, and line, one parametrized case per deep rule.
-
-Below those sit unit tests for the phase-1 infrastructure: the import
-graph / symbol table (:mod:`tools.lint.graph`), the units-of-measure
-lattice (:mod:`tools.lint.dataflow`), and the paper-constants registry
+The fixture-level guarantees (tree lints clean, every planted violation
+found, violation text pinned) live in ``tests/test_lint.py``; this file
+covers what the cross-module rules are built on: the import graph /
+symbol table (:mod:`tools.lint.graph`), the units-of-measure lattice
+(:mod:`tools.lint.dataflow`), and the paper-constants registry
 (:mod:`tools.lint.constants`) — including the acceptance check that a
 perturbed default is caught.
 """
 
-import json
-import re
-from pathlib import Path
-
 import pytest
 
-import tools.lint as lint
-from tools.lint import engine
+from tests.lintkit import make_project
 from tools.lint.constants import REGISTRY, check_project_constants
 from tools.lint.dataflow import (
     BYTES,
@@ -39,83 +26,7 @@ from tools.lint.dataflow import (
     join,
     unit_of_name,
 )
-from tools.lint.engine import ModuleSource, Violation, lint_paths
-from tools.lint.graph import (
-    Project,
-    module_name_for,
-    strongly_connected_components,
-)
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-FIX_DIR = "tests/fixtures/lint/deep"
-DEEP_RULE_IDS = ("import-cycle", "dead-public-api", "unit-mix",
-                 "except-hygiene", "constant-drift", "span-lifecycle")
-
-#: Marker grammar shared with the shallow fixture: ``# PLANT: <rule-id>``.
-_PLANT_RE = re.compile(r"#\s*PLANT:\s*(?P<id>[a-z0-9\-]+)")
-
-
-def planted_expectations():
-    """(rule, rel-path, line) triples declared by the fixtures' markers."""
-    expected = set()
-    for path in sorted((REPO_ROOT / FIX_DIR).glob("*.py")):
-        rel = "%s/%s" % (FIX_DIR, path.name)
-        for lineno, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1):
-            m = _PLANT_RE.search(line)
-            if m:
-                expected.add((m.group("id"), rel, lineno))
-    return expected
-
-
-def make_project(files):
-    """An in-memory Project from {repo-relative path: source text}."""
-    sources = {
-        rel: ModuleSource(Path("<memory>") / rel, rel, text)
-        for rel, text in files.items()
-    }
-    return Project(sources)
-
-
-def test_repo_deep_lints_clean():
-    """`repro lint --deep` exits 0 on the repo itself (the enforced gate)."""
-    violations = lint_paths(REPO_ROOT, lint.DEFAULT_TARGETS, deep=True)
-    assert violations == [], "repo must deep-lint clean:\n%s" % "\n".join(
-        v.format() for v in violations)
-
-
-class TestPlantedFixtures:
-    def test_all_planted_violations_detected(self):
-        expected = planted_expectations()
-        assert len(expected) >= 9, "fixtures lost their planted markers"
-        got = lint_paths(REPO_ROOT, [FIX_DIR], all_rules_everywhere=True,
-                         deep=True)
-        assert {(v.rule, v.path, v.line) for v in got} == expected
-
-    @pytest.mark.parametrize("rule_id", DEEP_RULE_IDS)
-    def test_each_rule_flags_its_plant(self, rule_id):
-        expected = {(r, p, l) for r, p, l in planted_expectations()
-                    if r == rule_id}
-        assert expected, "no fixture plants rule %s" % rule_id
-        got = lint_paths(REPO_ROOT, [FIX_DIR], rule_ids=[rule_id],
-                         all_rules_everywhere=True, deep=True)
-        assert {(v.rule, v.path, v.line) for v in got} == expected
-
-    def test_deep_scoping_keeps_fixtures_out_of_the_gate(self):
-        # fixtures live outside src/repro/, so the default-scope deep run
-        # (the one CI enforces on the repo) must not see them
-        assert lint_paths(REPO_ROOT, [FIX_DIR], deep=True) == []
-
-    def test_shallow_pass_silent_on_deep_fixtures(self):
-        # without --deep the cross-module rules never run, and the
-        # fixtures are deliberately clean under every per-file rule
-        assert lint_paths(REPO_ROOT, [FIX_DIR]) == []
-        assert lint_paths(
-            REPO_ROOT, [FIX_DIR], all_rules_everywhere=True) == []
-
-    def test_deep_rule_id_requires_deep(self):
-        with pytest.raises(ValueError, match="need --deep"):
-            lint_paths(REPO_ROOT, [FIX_DIR], rule_ids=["import-cycle"])
+from tools.lint.graph import module_name_for, strongly_connected_components
 
 
 class TestImportGraph:
@@ -331,49 +242,3 @@ class TestConstantsRegistry:
         p = make_project({"src/repro/core/loss_detection.py": loss})
         findings = check_project_constants(p)
         assert any("min(app_threshold, PTO)" in f.message for f in findings)
-
-
-class TestSarifAndCli:
-    def test_sarif_document_shape(self):
-        v = Violation("import-cycle", "a/b.py", 3, 7, "boom")
-        doc = json.loads(engine.format_sarif([v]))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["import-cycle"]
-        result = run["results"][0]
-        assert result["ruleId"] == "import-cycle"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "a/b.py"
-        assert loc["region"] == {"startLine": 3, "startColumn": 8}
-
-    def test_main_deep_clean_exit_zero(self, capsys):
-        assert lint.main(["--deep", "--root", str(REPO_ROOT)]) == 0
-        assert "lint: clean" in capsys.readouterr().out
-
-    def test_main_deep_fixture_sarif(self, capsys):
-        rc = lint.main([FIX_DIR, "--deep", "--all-rules", "--format", "sarif",
-                        "--root", str(REPO_ROOT)])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        got = set()
-        for result in doc["runs"][0]["results"]:
-            loc = result["locations"][0]["physicalLocation"]
-            got.add((result["ruleId"], loc["artifactLocation"]["uri"],
-                     loc["region"]["startLine"]))
-        assert got == planted_expectations()
-
-    def test_list_rules_includes_deep_pass(self, capsys):
-        assert lint.main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "[deep;" in out
-        for rule_id in DEEP_RULE_IDS:
-            assert rule_id in out
-
-    def test_repro_cli_deep_subcommand(self, capsys):
-        from repro.cli import main as repro_main
-
-        rc = repro_main(["lint", "--deep", "--format", "sarif",
-                         "--root", str(REPO_ROOT)])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"

@@ -5,14 +5,10 @@ reproduction assume that ``run_stream(transport, seed=s)`` is a pure
 function of its arguments.  Hot-path optimisations (heap compaction,
 bisect-based trace lookups, batched telemetry, GF fast paths) must not
 perturb event order, RNG consumption, or float arithmetic.  This test
-serialises *everything* observable from a run — stats, per-packet delays,
-QoE, frame statuses, and the full telemetry JSONL export — and demands a
-byte-for-byte match across two fresh runs.
+takes *everything* observable from a run — ``StreamRunResult.digest()``
+(stats, per-packet delays, QoE, frame statuses) and the full telemetry
+JSONL export — and demands a byte-for-byte match across two fresh runs.
 """
-
-import dataclasses
-import hashlib
-import json
 
 import pytest
 
@@ -21,40 +17,12 @@ from repro.experiments.runner import run_stream
 TRANSPORTS = ["cellfusion", "xnc", "mpquic", "minRTT"]
 
 
-def _norm(x):
-    """JSON-serialisable normal form; floats formatted to full precision."""
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {k: _norm(v) for k, v in dataclasses.asdict(x).items()}
-    if isinstance(x, dict):
-        return {str(k): _norm(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, (list, tuple)):
-        return [_norm(v) for v in x]
-    if isinstance(x, float):
-        return x.hex()  # bit-exact, no repr ambiguity
-    if hasattr(x, "__dict__") and not isinstance(x, (str, bytes, int, bool)):
-        return {k: _norm(v) for k, v in sorted(vars(x).items())}
-    return x
-
-
-def _run_digest(transport: str, seed: int, tmp_path, tag: str) -> str:
+def _run_digest(transport: str, seed: int, tmp_path, tag: str):
+    """(canonical result digest, telemetry JSONL bytes) of one run."""
     r = run_stream(transport, duration=2.0, seed=seed, telemetry=True)
-    doc = {
-        "transport": r.transport,
-        "frames_sent": r.frames_sent,
-        "packets_sent": r.packets_sent,
-        "packets_received": r.packets_received,
-        "delays": [d.hex() for d in map(float, r.packet_delays)],
-        "redundancy": float(r.redundancy_ratio).hex(),
-        "qoe": _norm(r.qoe),
-        "client": _norm(r.client_stats),
-        "loss_rates": _norm(r.uplink_loss_rates),
-        "frame_statuses": r.frame_statuses,
-        "frame_loss": [f.hex() for f in map(float, r.frame_loss_fractions)],
-    }
-    blob = json.dumps(doc, sort_keys=True).encode()
     out = tmp_path / ("%s_%s_%d.jsonl" % (tag, transport, seed))
     r.telemetry.export_jsonl(str(out))
-    return hashlib.sha256(blob + out.read_bytes()).hexdigest()
+    return r.digest(), out.read_bytes()
 
 
 class TestSeededRunsByteIdentical:

@@ -21,6 +21,7 @@ from repro.faults import (
     FaultPlan,
     FaultPlanBuilder,
     FaultPlanError,
+    SoakError,
     SoakReport,
     random_plan,
     run_chaos_soak,
@@ -698,3 +699,7 @@ class TestWatchdogAndSoak:
         report = run_chaos_soak(2, duration=4.0, sanitize=True)
         report.assert_healthy()
         assert report.faults_applied >= report.faults_lifted
+        # an unhealthy outcome is a loud, named failure
+        report.overlay_drained = False
+        with pytest.raises(SoakError, match="overlay still active"):
+            report.assert_healthy()

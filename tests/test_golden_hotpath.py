@@ -4,9 +4,9 @@ Every other determinism test compares two runs of the *same* commit, so
 a refactor that changes behaviour identically on both runs passes them
 all.  This one compares against hashes captured on a known commit and
 stored in ``tests/fixtures/golden_hotpath.json``: for eight short
-sessions — the transports and schedulers whose send path differs — the
-sha256 of the canonical result (what ``perfledger`` digests), of the
-telemetry JSONL export and of the span JSONL export.
+sessions — the transports and schedulers whose send path differs —
+``StreamRunResult.digest()`` (what ``perfledger`` digests) and the
+sha256 of the telemetry JSONL and span JSONL export files.
 
 The fixture moves only by running this module as a script::
 
@@ -60,21 +60,6 @@ def _burst_plan(duration: float):
     return builder.build()
 
 
-def _result_digest(result) -> str:
-    from repro.fleet import hex_floats
-
-    doc = {
-        "delays": result.packet_delays,
-        "qoe": [result.qoe.avg_fps, result.qoe.stall_ratio, result.qoe.ssim],
-        "packets": [result.packets_sent, result.packets_received],
-        "stats": result.client_stats.as_dict(),
-        "frames": result.frame_statuses,
-        "terminal_error": result.terminal_error,
-    }
-    text = json.dumps(hex_floats(doc), sort_keys=True, separators=(",", ":"))
-    return _sha(text.encode("utf-8"))
-
-
 def _run_stream(name: str, instrumented: bool = True):
     from repro.emulation.cellular import generate_fleet_traces
     from repro.experiments.runner import run_stream
@@ -98,7 +83,7 @@ def _stream_hashes(name: str, tmp_dir: str) -> dict:
     with open(span_path, "rb") as fh:
         spans = fh.read()
     assert telemetry and spans
-    return {"result": _result_digest(result), "telemetry": _sha(telemetry),
+    return {"result": result.digest(), "telemetry": _sha(telemetry),
             "spans": _sha(spans)}
 
 
@@ -128,7 +113,7 @@ def test_uninstrumented_run_matches_golden_result():
     # telemetry and spans off must take the same path to the same result
     name = "cellfusion_clean"
     result = _run_stream(name, instrumented=False)
-    assert _result_digest(result) == _load_fixture()[name]["result"]
+    assert result.digest() == _load_fixture()[name]["result"]
 
 
 if __name__ == "__main__":

@@ -1,146 +1,42 @@
-"""Self-test for the hot-path perf lint pass (``repro lint --perf``).
+"""Unit tests for the hot-path perf rules (:mod:`tools.lint.perf`).
 
-Mirrors ``tests/test_shard_lint.py`` one level up, for the fourth pass:
-
-* ``test_repo_perf_lints_clean`` — the whole tree passes the perf pass,
-  so a PR re-introducing per-packet allocation churn, a slow idiom, a
-  hidden quadratic, or an unguarded observability call on a hot path
-  fails the suite (every justified cost carries its ``hot-ok`` pragma);
-* ``TestPlantedFixtures`` — every violation planted under
-  ``tests/fixtures/lint/perf/`` is detected with the correct rule id,
-  file, and line, including the cross-module hot-caller pair whose
-  finding exists only through call-graph hotness propagation.
-
-Below those sit unit tests for the hotness model (bench-suite seeding,
-``@hot_path`` seeding, transitive propagation, method/constructor/
-callback resolution), the pragma grammar, each rule's classification
-edges, and the runtime registry's agreement with the static analyzer.
+The fixture-level guarantees live in ``tests/test_lint.py``; this file
+covers the hotness model (bench-suite seeding, ``@hot_path`` seeding,
+transitive propagation, method/constructor/callback resolution), the
+pragma grammar, each rule's classification edges, and the runtime
+registry's agreement with the static analyzer.
 """
 
-import json
-import re
-from pathlib import Path
-
-import pytest
-
-import tools.lint as lint
-from tools.lint.engine import ModuleSource, iter_py_files, lint_paths
+from tests.lintkit import REPO_ROOT, make_project
+from tests.lintkit import rule_violations as perf_violations
+from tools.lint.engine import ModuleSource, all_rules, iter_py_files
 from tools.lint.graph import HOT_SEED_MODULE, Project
 from tools.lint.perf import hot_ok_pragmas
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 FIX_DIR = "tests/fixtures/lint/perf"
-PERF_RULE_IDS = ("alloc-in-hot-loop", "slow-idiom", "hidden-quadratic",
-                 "unguarded-hot-call")
-
-_PLANT_RE = re.compile(r"#\s*PLANT:\s*(?P<id>[a-z0-9\-]+)")
-
-
-def planted_expectations():
-    """(rule, rel-path, line) triples declared by the fixtures' markers."""
-    expected = set()
-    for path in sorted((REPO_ROOT / FIX_DIR).glob("*.py")):
-        rel = "%s/%s" % (FIX_DIR, path.name)
-        for lineno, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1):
-            m = _PLANT_RE.search(line)
-            if m:
-                expected.add((m.group("id"), rel, lineno))
-    return expected
-
-
-def make_project(files):
-    """An in-memory Project from {repo-relative path: source text}."""
-    sources = {
-        rel: ModuleSource(Path("<memory>") / rel, rel, text)
-        for rel, text in files.items()
-    }
-    return Project(sources)
 
 
 def call_graph(files):
     return make_project(files).call_graph()
 
 
-def perf_violations(files, rule_id):
-    """Run one perf rule over an in-memory project."""
-    from tools.lint.engine import all_perf_rules
-
-    project = make_project(files)
-    rule = {r.id: r for r in all_perf_rules()}[rule_id]
-    return list(rule.check_project(project))
-
-
 #: Minimal module preamble giving fixtures a syntactic @hot_path.
 _HOT = "__all__ = []\ndef hot_path(fn):\n    return fn\n"
 
 
-def test_repo_perf_lints_clean():
-    """`repro lint --perf` exits 0 on the repo (the enforced gate)."""
-    violations = lint_paths(REPO_ROOT, lint.DEFAULT_TARGETS, perf=True)
-    assert violations == [], "repo must perf-lint clean:\n%s" % "\n".join(
-        v.format() for v in violations)
-
-
-class TestPlantedFixtures:
-    def test_all_planted_violations_detected(self):
-        expected = planted_expectations()
-        assert len(expected) >= 20, "fixtures lost their planted markers"
-        got = lint_paths(REPO_ROOT, [FIX_DIR], all_rules_everywhere=True,
-                         perf=True)
-        assert {(v.rule, v.path, v.line) for v in got} == expected
-
-    @pytest.mark.parametrize("rule_id", PERF_RULE_IDS)
-    def test_each_rule_flags_its_plant(self, rule_id):
-        expected = {(r, p, l) for r, p, l in planted_expectations()
-                    if r == rule_id}
-        assert expected, "no fixture plants rule %s" % rule_id
-        got = lint_paths(REPO_ROOT, [FIX_DIR], rule_ids=[rule_id],
-                         all_rules_everywhere=True, perf=True)
-        assert {(v.rule, v.path, v.line) for v in got} == expected
-
-    def test_cross_module_plant_needs_propagation(self):
-        # the hot_helper.py plant is only reachable through the call
-        # edge from hot_caller.drive — it must be found...
-        expected = {t for t in planted_expectations()
-                    if t[1].endswith("hot_helper.py")}
-        assert expected, "cross-module fixture lost its plant"
-        got = lint_paths(REPO_ROOT, [FIX_DIR], all_rules_everywhere=True,
-                         perf=True)
-        assert expected <= {(v.rule, v.path, v.line) for v in got}
-        # ...while the identically-shaped cold_helper stays silent
-        helper_rel = "%s/hot_helper.py" % FIX_DIR
-        cg = Project({
-            rel: ModuleSource(path, rel, path.read_text(encoding="utf-8"))
-            for path, rel in iter_py_files(REPO_ROOT, [FIX_DIR])
-        }).call_graph()
-        module = "tests.fixtures.lint.perf.hot_helper"
-        assert cg.is_hot((module, "shift_window"))
-        assert not cg.is_hot((module, "cold_helper"))
-        assert "called from" in cg.hot_reason((module, "shift_window"))
-        assert helper_rel in {f.rel for f in cg.hot_functions()}
-
-    def test_perf_scoping_keeps_fixtures_out_of_the_gate(self):
-        # fixtures live outside src/repro/, so the default-scope perf
-        # run (the one CI enforces) must not see them
-        assert lint_paths(REPO_ROOT, [FIX_DIR], perf=True) == []
-
-    def test_per_file_pass_silent_on_perf_fixtures(self):
-        # the fixtures are deliberately clean under every per-file rule
-        assert lint_paths(REPO_ROOT, [FIX_DIR]) == []
-        assert lint_paths(
-            REPO_ROOT, [FIX_DIR], all_rules_everywhere=True) == []
-
-    def test_perf_rule_id_requires_perf_flag(self):
-        with pytest.raises(ValueError, match="need --perf"):
-            lint_paths(REPO_ROOT, [FIX_DIR],
-                       rule_ids=["alloc-in-hot-loop"])
-
-    def test_perf_and_other_passes_are_independent(self):
-        # --deep / --shard-safety alone must not run the perf rules
-        got = lint_paths(REPO_ROOT, [FIX_DIR], all_rules_everywhere=True,
-                         deep=True, shard=True)
-        assert not any(v.rule in PERF_RULE_IDS for v in got)
+def test_cross_module_plant_needs_propagation():
+    # the hot_helper.py plant is only reachable through the call edge
+    # from hot_caller.drive, while the identically-shaped cold_helper
+    # stays cold
+    cg = Project({
+        rel: ModuleSource(path, rel, path.read_text(encoding="utf-8"))
+        for path, rel in iter_py_files(REPO_ROOT, [FIX_DIR])
+    }).call_graph()
+    module = "tests.fixtures.lint.perf.hot_helper"
+    assert cg.is_hot((module, "shift_window"))
+    assert not cg.is_hot((module, "cold_helper"))
+    assert "called from" in cg.hot_reason((module, "shift_window"))
+    assert "%s/hot_helper.py" % FIX_DIR in {f.rel for f in cg.hot_functions()}
 
 
 class TestHotnessModel:
@@ -402,9 +298,7 @@ class TestUnguardedHotCallRule:
                           "        table.record(x)\n") == []
 
     def test_obs_layer_is_exempt(self):
-        from tools.lint.engine import all_perf_rules
-
-        rule = {r.id: r for r in all_perf_rules()}["unguarded-hot-call"]
+        rule = {r.id: r for r in all_rules()}["unguarded-hot-call"]
         assert not rule.applies_to_path("src/repro/obs/spans.py")
         assert rule.applies_to_path("src/repro/transport/base.py")
 
@@ -440,40 +334,3 @@ class TestHotRegistryRuntime:
         assert registered, "no @hot_path functions registered at import"
         missing = registered - hot_dotted
         assert not missing, "registry/analyzer disagree on: %s" % sorted(missing)
-
-
-class TestSarifAndCli:
-    def test_main_perf_fixture_sarif(self, capsys):
-        rc = lint.main([FIX_DIR, "--perf", "--all-rules",
-                        "--format", "sarif", "--root", str(REPO_ROOT)])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        got = set()
-        for result in doc["runs"][0]["results"]:
-            loc = result["locations"][0]["physicalLocation"]
-            got.add((result["ruleId"], loc["artifactLocation"]["uri"],
-                     loc["region"]["startLine"]))
-        assert got == planted_expectations()
-        # the embedded catalogue describes every perf rule that fired
-        described = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert set(PERF_RULE_IDS) <= described
-
-    def test_main_perf_clean_exit_zero(self, capsys):
-        assert lint.main(["--perf", "--root", str(REPO_ROOT)]) == 0
-        assert "lint: clean" in capsys.readouterr().out
-
-    def test_list_rules_includes_perf_pass(self, capsys):
-        assert lint.main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "[perf;" in out
-        for rule_id in PERF_RULE_IDS:
-            assert rule_id in out
-
-    def test_repro_cli_perf_subcommand(self, capsys):
-        from repro.cli import main as repro_main
-
-        rc = repro_main(["lint", "--perf", "--format", "sarif",
-                         "--root", str(REPO_ROOT)])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"

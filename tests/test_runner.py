@@ -27,6 +27,19 @@ class TestRegistry:
             client.close()
             server.close()
 
+    @pytest.mark.parametrize("ablation", ["xnc-no-rlnc", "xnc-pto-only"])
+    def test_ablation_arm_leaves_callers_config_alone(self, ablation):
+        from repro.core.endpoint import XncConfig
+
+        cfg = XncConfig()
+        run_stream(ablation, duration=1.0, seed=2, xnc_config=cfg)
+        assert cfg.coding_enabled is True
+        assert cfg.loss_policy.app_threshold is not None
+        reused = run_stream("cellfusion", duration=1.0, seed=2, xnc_config=cfg)
+        fresh = run_stream("cellfusion", duration=1.0, seed=2,
+                           xnc_config=XncConfig())
+        assert reused.digest() == fresh.digest()
+
     def test_unknown_name_rejected(self):
         loop = EventLoop()
         emu = MultipathEmulator(loop, generate_fleet_traces(duration=2.0, seed=0))

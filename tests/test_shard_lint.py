@@ -1,115 +1,14 @@
-"""Self-test for the shard-safety lint pass (``repro lint --shard-safety``).
+"""Unit tests for the shard-safety rules (:mod:`tools.lint.shard`).
 
-Mirrors ``tests/test_deep_lint.py`` one level up, for the third pass:
-
-* ``test_repo_shard_lints_clean`` — the whole tree passes the shard
-  pass, so a PR introducing a writable module global, a loop-owned
-  escape, a label-free RNG derivation, or an unpicklable spawn payload
-  fails the suite (every justified hazard carries its pragma);
-* ``TestPlantedFixtures`` — every violation planted under
-  ``tests/fixtures/lint/shard/`` is detected with the correct rule id,
-  file, and line, one parametrized case per shard rule.
-
-Below those sit unit tests for the pragma grammar and the four rules'
-classification edges (bounded vs unbounded memos, taint through
-constructor arguments, derivation-path checks, nested-def payloads).
+The fixture-level guarantees live in ``tests/test_lint.py``; this file
+covers the pragma grammar and the four rules' classification edges
+(bounded vs unbounded memos, taint through constructor arguments,
+derivation-path checks, nested-def payloads).
 """
 
-import json
-import re
-from pathlib import Path
-
-import pytest
-
-import tools.lint as lint
-from tools.lint.engine import ModuleSource, lint_paths
-from tools.lint.graph import Project
+from tests.lintkit import rule_violations as shard_violations
+from tools.lint.engine import all_rules
 from tools.lint.shard import shard_safe_pragmas
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-FIX_DIR = "tests/fixtures/lint/shard"
-SHARD_RULE_IDS = ("shard-mutable-global", "shard-loop-ownership",
-                  "shard-rng-provenance", "shard-spawn-safety")
-
-_PLANT_RE = re.compile(r"#\s*PLANT:\s*(?P<id>[a-z0-9\-]+)")
-
-
-def planted_expectations():
-    """(rule, rel-path, line) triples declared by the fixtures' markers."""
-    expected = set()
-    for path in sorted((REPO_ROOT / FIX_DIR).glob("*.py")):
-        rel = "%s/%s" % (FIX_DIR, path.name)
-        for lineno, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1):
-            m = _PLANT_RE.search(line)
-            if m:
-                expected.add((m.group("id"), rel, lineno))
-    return expected
-
-
-def make_project(files):
-    """An in-memory Project from {repo-relative path: source text}."""
-    sources = {
-        rel: ModuleSource(Path("<memory>") / rel, rel, text)
-        for rel, text in files.items()
-    }
-    return Project(sources)
-
-
-def shard_violations(files, rule_id):
-    """Run one shard rule over an in-memory project."""
-    from tools.lint.engine import all_shard_rules
-
-    project = make_project(files)
-    rule = {r.id: r for r in all_shard_rules()}[rule_id]
-    return list(rule.check_project(project))
-
-
-def test_repo_shard_lints_clean():
-    """`repro lint --shard-safety` exits 0 on the repo (the enforced gate)."""
-    violations = lint_paths(REPO_ROOT, lint.DEFAULT_TARGETS, shard=True)
-    assert violations == [], "repo must shard-lint clean:\n%s" % "\n".join(
-        v.format() for v in violations)
-
-
-class TestPlantedFixtures:
-    def test_all_planted_violations_detected(self):
-        expected = planted_expectations()
-        assert len(expected) >= 14, "fixtures lost their planted markers"
-        got = lint_paths(REPO_ROOT, [FIX_DIR], all_rules_everywhere=True,
-                         shard=True)
-        assert {(v.rule, v.path, v.line) for v in got} == expected
-
-    @pytest.mark.parametrize("rule_id", SHARD_RULE_IDS)
-    def test_each_rule_flags_its_plant(self, rule_id):
-        expected = {(r, p, l) for r, p, l in planted_expectations()
-                    if r == rule_id}
-        assert expected, "no fixture plants rule %s" % rule_id
-        got = lint_paths(REPO_ROOT, [FIX_DIR], rule_ids=[rule_id],
-                         all_rules_everywhere=True, shard=True)
-        assert {(v.rule, v.path, v.line) for v in got} == expected
-
-    def test_shard_scoping_keeps_fixtures_out_of_the_gate(self):
-        # fixtures live outside src/repro/, so the default-scope shard
-        # run (the one CI enforces) must not see them
-        assert lint_paths(REPO_ROOT, [FIX_DIR], shard=True) == []
-
-    def test_per_file_pass_silent_on_shard_fixtures(self):
-        # the fixtures are deliberately clean under every per-file rule
-        assert lint_paths(REPO_ROOT, [FIX_DIR]) == []
-        assert lint_paths(
-            REPO_ROOT, [FIX_DIR], all_rules_everywhere=True) == []
-
-    def test_shard_rule_id_requires_shard_flag(self):
-        with pytest.raises(ValueError, match="need --shard-safety"):
-            lint_paths(REPO_ROOT, [FIX_DIR],
-                       rule_ids=["shard-mutable-global"])
-
-    def test_shard_and_deep_passes_are_independent(self):
-        # --deep alone must not run the shard rules (and vice versa)
-        got = lint_paths(REPO_ROOT, [FIX_DIR], all_rules_everywhere=True,
-                         deep=True)
-        assert not any(v.rule.startswith("shard-") for v in got)
 
 
 class TestShardSafePragma:
@@ -286,9 +185,7 @@ class TestRngProvenanceRule:
         assert len(got) == 1 and "string label" in got[0].message
 
     def test_determinism_module_is_exempt(self):
-        from tools.lint.engine import all_shard_rules
-
-        rule = {r.id: r for r in all_shard_rules()}["shard-rng-provenance"]
+        rule = {r.id: r for r in all_rules()}["shard-rng-provenance"]
         assert not rule.applies_to_path("src/repro/determinism.py")
 
     def test_reseed_of_rng_receiver_flagged(self):
@@ -317,40 +214,3 @@ class TestSpawnSafetyRule:
         # .map on a non-executor-ish name is not a process boundary
         assert self._hits("def go(series, f):\n"
                           "    return series.map(f)\n") == []
-
-
-class TestSarifAndCli:
-    def test_main_shard_fixture_sarif(self, capsys):
-        rc = lint.main([FIX_DIR, "--shard-safety", "--all-rules",
-                        "--format", "sarif", "--root", str(REPO_ROOT)])
-        assert rc == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        got = set()
-        for result in doc["runs"][0]["results"]:
-            loc = result["locations"][0]["physicalLocation"]
-            got.add((result["ruleId"], loc["artifactLocation"]["uri"],
-                     loc["region"]["startLine"]))
-        assert got == planted_expectations()
-        # the embedded catalogue describes every shard rule that fired
-        described = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert set(SHARD_RULE_IDS) <= described
-
-    def test_main_shard_clean_exit_zero(self, capsys):
-        assert lint.main(["--shard-safety", "--root", str(REPO_ROOT)]) == 0
-        assert "lint: clean" in capsys.readouterr().out
-
-    def test_list_rules_includes_shard_pass(self, capsys):
-        assert lint.main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "[shard;" in out
-        for rule_id in SHARD_RULE_IDS:
-            assert rule_id in out
-
-    def test_repro_cli_shard_subcommand(self, capsys):
-        from repro.cli import main as repro_main
-
-        rc = repro_main(["lint", "--shard-safety", "--format", "sarif",
-                         "--root", str(REPO_ROOT)])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["version"] == "2.1.0"

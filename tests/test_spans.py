@@ -1,4 +1,4 @@
-"""Causal span tracing (:mod:`repro.obs.spans`) and the sim profiler.
+"""Causal span tracing (:mod:`repro.obs.spans`).
 
 Three layers of guarantees:
 
@@ -12,9 +12,6 @@ Three layers of guarantees:
 * **Chrome trace-event schema** — the Perfetto export is validated
   against the trace-event contract (``X`` complete events with µs
   timestamps, ``M`` thread-name metadata, stable pid/tid lanes).
-
-The sim profiler rides along: component attribution is unit-tested and
-its call counts are pinned deterministic across seeded reruns.
 """
 
 import json
@@ -25,13 +22,10 @@ from repro.experiments.runner import run_stream
 from repro.obs import (
     NULL_SPANS,
     NullSpanRecorder,
-    SimProfiler,
     Span,
     SpanRecorder,
     Telemetry,
-    component_of,
 )
-from repro.obs.profiler import COMPONENT_ORDER
 from repro.obs.spans import (
     SPAN_DECODE,
     SPAN_DROP,
@@ -161,9 +155,9 @@ class TestSpanRecorder:
 
 @pytest.fixture(scope="module")
 def spans_run():
-    """One short seeded 4-path cellfusion run with spans + profiler."""
+    """One short seeded 4-path cellfusion run with spans."""
     return run_stream("cellfusion", duration=2.0, seed=3,
-                      video=VideoConfig(seed=4), spans=True, profile=True)
+                      video=VideoConfig(seed=4), spans=True)
 
 
 class TestSpanTreeInvariants:
@@ -299,62 +293,3 @@ class TestChromeTraceSchema:
         assert by_name[SPAN_FAULT]["dur"] == pytest.approx(1e6)
         assert by_name[SPAN_FAULT]["args"]["lifted"] is True
         assert by_name[SPAN_DECODE]["dur"] == 0
-
-
-class TestSimProfiler:
-    def test_component_of_known_modules(self):
-        from repro.emulation.events import EventLoop, PeriodicTimer
-        from repro.video.source import VideoSource
-
-        assert component_of(VideoSource.start) == "video"
-        assert component_of(EventLoop.run_until) == "emulator"
-        assert component_of(json.loads) == "other"
-        # PeriodicTimer._fire unwraps to the wrapped callback's module
-        loop = EventLoop()
-        hits = []
-        timer = PeriodicTimer(loop, 0.5, hits.append)
-        assert component_of(timer._fire) == "other"
-        assert COMPONENT_ORDER[-1] == "other"
-
-    def test_call_counts_and_report(self):
-        prof = SimProfiler()
-        prof.call(len, ("ab",), 0.5)
-        prof.call(len, ("cd",), 1.5)
-        assert prof.calls == 2
-        assert prof.calls_by_component() == {"other": 2}
-        rep = prof.report()
-        assert rep["type"] == "profile"
-        assert rep["first_dispatch"] == 0.5 and rep["last_dispatch"] == 1.5
-        assert rep["components"][0]["calls"] == 2
-        assert rep["top_callbacks"][0]["calls"] == 2
-        table = SimProfiler.format_report(rep)
-        assert "other" in table and "total" in table
-
-    def test_exceptions_propagate_and_are_charged(self):
-        prof = SimProfiler()
-
-        def boom():
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            prof.call(boom, (), 0.0)
-        assert prof.calls_by_component() == {"other": 1}
-
-    def test_deterministic_counts_across_reruns(self, spans_run):
-        res2 = run_stream("cellfusion", duration=2.0, seed=3,
-                          video=VideoConfig(seed=4), spans=True, profile=True)
-        a, b = spans_run.profile, res2.profile
-        assert a is not None and b is not None
-        strip = lambda rep: [
-            {"component": c["component"], "calls": c["calls"]}
-            for c in rep["components"]
-        ]
-        assert strip(a) == strip(b)
-        assert a["calls"] == b["calls"]
-        assert a["first_dispatch"] == b["first_dispatch"]
-        assert [c["callback"] for c in a["top_callbacks"]] == \
-            [c["callback"] for c in b["top_callbacks"]]
-
-    def test_disabled_run_has_no_profile(self):
-        res = run_stream("bonding", duration=0.5, seed=1)
-        assert res.profile is None and res.telemetry is None

@@ -21,7 +21,7 @@ warmup — ``sys.getallocatedblocks()`` before/after with the cyclic GC
 parked — so the timed trials stay undisturbed (no tracemalloc, no GC
 pauses injected into the measurement window).  Net growth is a retention
 gauge: transient per-iteration churn that the allocator reclaims
-immediately is the static analyzer's job (``repro lint --perf``); what
+immediately is the static analyzer's job (``alloc-in-hot-loop``); what
 the bench gates is memory the workload *keeps* per unit of work.
 """
 

@@ -2,26 +2,18 @@
 # Repo static-analysis + sanitizer CI gate.
 #
 # Stages, each fail-fast:
-#   1. `repro lint` over the whole tree (tools/lint rules; exit 1 on any
-#      violation, including unjustified suppressions);
-#   1b. `repro lint --deep` — the whole-program pass (import graph, units
-#      dataflow, paper-constants registry) emitting SARIF for CI
-#      annotation, with a 10 s wall-clock budget so the deep pass can
+#   1. `repro lint` over the whole tree: the single lint pass (every
+#      rule, per-file and whole-program; exit 1 on any violation,
+#      including unjustified suppressions) emitting SARIF for CI
+#      annotation, with a 10 s wall-clock budget so static analysis can
 #      never become the slow stage;
-#   1c. `repro lint --shard-safety` — the fleet-sharding pass (mutable
-#      globals, event-loop ownership, RNG provenance, spawn safety)
-#      emitting its own SARIF artifact under the same 10 s budget;
-#   1d. `repro lint --perf` — the hot-path pass (call-graph hotness
-#      propagation: alloc-in-hot-loop, slow idioms, hidden quadratics,
-#      unguarded observability calls) emitting its own SARIF artifact
-#      under the same 10 s budget;
 #   2. the linter/sanitizer self-tests plus the protocol-heavy slice of
 #      the suite re-run with REPRO_SANITIZE=1, so every transmit, range
 #      build, recovery plan, decode, and state transition in those runs
 #      is checked against the paper's invariants;
-#   3. the disabled-overhead gates: both the telemetry layer and the
-#      sanitizer must keep their off-mode cost bound under 5 % of the
-#      streaming hot path;
+#   3. the disabled-overhead gate: telemetry, spans, the sanitizer (with
+#      its state-leak guard) and the fault hook must each keep their
+#      off-mode cost bound under 5 % of the streaming hot path;
 #   4. the benchmark harness smoke run: `repro bench --smoke` (tiny
 #      deterministic workloads, 60 s budget) plus schema validation of
 #      the emitted artifact and of the committed BENCH_*.json trajectory
@@ -29,27 +21,25 @@
 #      compared against the committed full-mode artifact with
 #      --no-time-gate (wall-clock isn't comparable across modes, but
 #      per-unit retention budgets are);
-#   5. the chaos-soak smoke: one seeded random fault plan against the
-#      full sanitized tunnel (tools/chaos_soak.py, 30 s budget) asserting
-#      delivery, drained fault state, and a byte-identical rerun digest;
-#   6. the HTML report artifact: `repro report` over a short seeded
+#   5. the HTML report artifact: `repro report` over a short seeded
 #      spans-enabled run (20 s budget) into a gitignored file, checked
 #      for the sections a healthy run must produce — so the whole
 #      spans -> decomposition -> report pipeline is exercised end to end
 #      on every CI run;
-#   7. the fleet smoke: a small sanitized sharded fleet run through the
+#   6. the fleet smoke: a small sanitized sharded fleet run through the
 #      `repro fleet` CLI (30 s budget) — JSON + HTML artifacts written,
 #      then `--check-digest` re-runs the same config at a *different*
 #      shard count and demands the stored digest reproduces byte for
 #      byte, plus the fleet.* smoke benches compared against the
 #      committed BENCH_PR9.json under the allocation gate;
-#   8. the scenario zoo + chaos campaign (45 s budget): every named
+#   7. the scenario zoo + chaos campaign (45 s budget): every named
 #      scenario runs sanitized at smoke duration with `--rerun`, so each
 #      scenario must pass its invariant oracles twice with byte-identical
 #      digests, then a small derandomized hypothesis campaign asserts the
-#      oracles over generated fault plans (a failure would shrink to a
-#      minimal replayable plan in the gitignored chaos-shrunk.json);
-#   9. the perf ledger (90 s budget): `perfledger`'s own tests (contract,
+#      oracles over generated random fault plans against the full
+#      sanitized tunnel (a failure would shrink to a minimal replayable
+#      plan in the gitignored chaos-shrunk.json);
+#   8. the perf ledger (90 s budget): `perfledger`'s own tests (contract,
 #      layer-map totality, compare, sensitivity — tier-1 does not collect
 #      them) and `python -m perfledger run --smoke`, which runs all four
 #      benchmark workloads at 1.5 sim-s and fails on a broken digest,
@@ -67,64 +57,26 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 FAST=0
 [ "${1:-}" = "--fast" ] && FAST=1
 
-echo "== stage 1: repro lint =============================================="
-python -m tools.lint
-
-echo "== stage 1b: repro lint --deep (SARIF, 10 s budget) ================="
-SARIF_OUT="${SARIF_OUT:-lint-deep.sarif}"
+echo "== stage 1: repro lint (SARIF, 10 s budget) ========================="
+SARIF_OUT="${SARIF_OUT:-lint.sarif}"
 t0=$(date +%s%N)
-if ! python -m tools.lint --deep --format sarif > "$SARIF_OUT"; then
-    echo "deep lint found violations:" >&2
-    python -m tools.lint --deep >&2 || true
+if ! python -m tools.lint --format sarif > "$SARIF_OUT"; then
+    echo "lint found violations:" >&2
+    python -m tools.lint >&2 || true
     exit 1
 fi
 t1=$(date +%s%N)
 elapsed_ms=$(( (t1 - t0) / 1000000 ))
-echo "deep pass clean in ${elapsed_ms} ms -> ${SARIF_OUT}"
+echo "lint clean in ${elapsed_ms} ms -> ${SARIF_OUT}"
 if [ "$elapsed_ms" -ge 10000 ]; then
-    echo "deep lint blew its 10 s wall-clock budget (${elapsed_ms} ms)" >&2
+    echo "lint blew its 10 s wall-clock budget (${elapsed_ms} ms)" >&2
     exit 1
 fi
 
-echo "== stage 1c: repro lint --shard-safety (SARIF, 10 s budget) ========="
-SHARD_SARIF_OUT="${SHARD_SARIF_OUT:-lint-shard.sarif}"
-t0=$(date +%s%N)
-if ! python -m tools.lint --shard-safety --format sarif > "$SHARD_SARIF_OUT"; then
-    echo "shard-safety lint found violations:" >&2
-    python -m tools.lint --shard-safety >&2 || true
-    exit 1
-fi
-t1=$(date +%s%N)
-elapsed_ms=$(( (t1 - t0) / 1000000 ))
-echo "shard-safety pass clean in ${elapsed_ms} ms -> ${SHARD_SARIF_OUT}"
-if [ "$elapsed_ms" -ge 10000 ]; then
-    echo "shard-safety lint blew its 10 s wall-clock budget (${elapsed_ms} ms)" >&2
-    exit 1
-fi
-
-echo "== stage 1d: repro lint --perf (SARIF, 10 s budget) ================="
-PERF_SARIF_OUT="${PERF_SARIF_OUT:-lint-perf.sarif}"
-t0=$(date +%s%N)
-if ! python -m tools.lint --perf --format sarif > "$PERF_SARIF_OUT"; then
-    echo "perf lint found violations:" >&2
-    python -m tools.lint --perf >&2 || true
-    exit 1
-fi
-t1=$(date +%s%N)
-elapsed_ms=$(( (t1 - t0) / 1000000 ))
-echo "perf pass clean in ${elapsed_ms} ms -> ${PERF_SARIF_OUT}"
-if [ "$elapsed_ms" -ge 10000 ]; then
-    echo "perf lint blew its 10 s wall-clock budget (${elapsed_ms} ms)" >&2
-    exit 1
-fi
-
-echo "== stage 2a: linter + sanitizer self-tests =========================="
+echo "== stage 2: self-tests + integration slice with REPRO_SANITIZE=1 ==="
 python -m pytest tests/test_lint.py tests/test_deep_lint.py \
     tests/test_shard_lint.py tests/test_perf_lint.py \
-    tests/test_incremental_lint.py \
     tests/test_sanitizer.py tests/test_stateguard.py -q
-
-echo "== stage 2b: integration slice with REPRO_SANITIZE=1 ================"
 REPRO_SANITIZE=1 python -m pytest -q \
     tests/test_integration.py \
     tests/test_xnc_endpoint.py \
@@ -139,10 +91,8 @@ REPRO_SANITIZE=1 python -m pytest -q \
 if [ "$FAST" = "1" ]; then
     echo "== stage 3 skipped (--fast) ========================================="
 else
-    echo "== stage 3: disabled-overhead gates ================================="
-    python tools/check_sanitizer_overhead.py
-    python tools/check_telemetry_overhead.py
-    python tools/check_faults_overhead.py
+    echo "== stage 3: disabled-overhead gate =================================="
+    python tools/check_overhead.py
 fi
 
 echo "== stage 4: bench smoke + schema validation ========================="
@@ -173,18 +123,7 @@ if [ -e BENCH_PR8.json ]; then
         --no-time-gate --max-alloc-regression 1200
 fi
 
-echo "== stage 5: chaos-soak smoke (seeded, 30 s budget) =================="
-t0=$(date +%s%N)
-python tools/chaos_soak.py --seeds 1 --duration 4 --sanitize
-t1=$(date +%s%N)
-elapsed_ms=$(( (t1 - t0) / 1000000 ))
-echo "chaos soak in ${elapsed_ms} ms"
-if [ "$elapsed_ms" -ge 30000 ]; then
-    echo "chaos soak blew its 30 s wall-clock budget (${elapsed_ms} ms)" >&2
-    exit 1
-fi
-
-echo "== stage 6: HTML report artifact (seeded, 20 s budget) =============="
+echo "== stage 5: HTML report artifact (seeded, 20 s budget) =============="
 REPORT_OUT="${REPORT_OUT:-report-ci.html}"
 t0=$(date +%s%N)
 python -m repro report cellfusion --duration 3 --seed 1 --out "$REPORT_OUT"
@@ -203,7 +142,7 @@ for section in "Delay CDFs" "Per-path timelines" "Frame delay decomposition" \
     fi
 done
 
-echo "== stage 7: fleet smoke + shard-invariant digest (30 s budget) ======"
+echo "== stage 6: fleet smoke + shard-invariant digest (30 s budget) ======"
 FLEET_OUT="${FLEET_OUT:-fleet-ci.json}"
 FLEET_HTML="${FLEET_HTML:-fleet-ci.html}"
 t0=$(date +%s%N)
@@ -233,7 +172,7 @@ if [ -e BENCH_PR9.json ]; then
         --no-time-gate --max-alloc-regression 1200
 fi
 
-echo "== stage 8: scenario zoo + chaos campaign (45 s budget) ============="
+echo "== stage 7: scenario zoo + chaos campaign (45 s budget) ============="
 CHAOS_ARTIFACT="${CHAOS_ARTIFACT:-chaos-shrunk.json}"
 t0=$(date +%s%N)
 python -m repro chaos zoo --smoke --sanitize --rerun
@@ -247,7 +186,7 @@ if [ "$elapsed_ms" -ge 45000 ]; then
     exit 1
 fi
 
-echo "== stage 9: perfledger tests + smoke run (90 s budget) =============="
+echo "== stage 8: perfledger tests + smoke run (90 s budget) =============="
 t0=$(date +%s%N)
 python -m pytest perfledger/tests -q
 python -m perfledger run --smoke > /dev/null

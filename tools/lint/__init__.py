@@ -1,29 +1,21 @@
 """repro-lint: the repo-native static analyzer.
 
 Run it as ``python -m tools.lint`` from the repo root, or via the
-``repro lint`` CLI subcommand.  ``--deep`` adds the whole-program pass
-(import graph, units-of-measure dataflow, paper-constants registry);
-``--shard-safety`` adds the shard-safety pass (mutable-global,
-loop-ownership, RNG-provenance and spawn-safety analyses) proving the
-tree safe to replicate across worker processes; ``--perf`` adds the
-hot-path performance pass (call-graph hotness propagation,
-alloc-in-hot-loop, slow-idiom, hidden-quadratic, unguarded-hot-call);
-``--changed`` reuses the violation cache to re-analyze only modified
-modules plus their dependents.  See ``docs/static-analysis.md`` for the
-rule catalogue and extension guide.
+``repro lint`` CLI subcommand.  Every run is the same single pass: each
+file is parsed once, the per-file rules run on it, and the whole-program
+rules (import graph, units dataflow, paper-constants registry,
+shard-safety analyses, call-graph hot-path analyses) run over the one
+:class:`~tools.lint.graph.Project` built from that parse.  ``--rule ID``
+is the only selector.  See ``docs/static-analysis.md`` for the rule
+catalogue and extension guide.
 """
 
 from .engine import (
-    DeepRule,
     ModuleSource,
-    PerfRule,
+    ProjectRule,
     Rule,
-    ShardRule,
     Violation,
-    all_deep_rules,
-    all_perf_rules,
     all_rules,
-    all_shard_rules,
     format_human,
     format_json,
     format_sarif,
@@ -32,7 +24,7 @@ from .engine import (
     register,
 )
 from . import rules as _rules  # noqa: F401 -- importing registers the rule set
-from . import xrules as _xrules  # noqa: F401 -- deep rules register here
+from . import xrules as _xrules  # noqa: F401 -- cross-module rules register here
 from . import shard as _shard  # noqa: F401 -- shard-safety rules register here
 from . import perf as _perf  # noqa: F401 -- hot-path perf rules register here
 
@@ -40,16 +32,11 @@ from . import perf as _perf  # noqa: F401 -- hot-path perf rules register here
 DEFAULT_TARGETS = ("src/repro", "tools", "tests", "benchmarks", "examples")
 
 __all__ = [
-    "DeepRule",
     "ModuleSource",
-    "PerfRule",
+    "ProjectRule",
     "Rule",
-    "ShardRule",
     "Violation",
-    "all_deep_rules",
-    "all_perf_rules",
     "all_rules",
-    "all_shard_rules",
     "format_human",
     "format_json",
     "format_sarif",
@@ -72,30 +59,9 @@ def main(argv=None, root=None) -> int:
                         help="files/directories relative to the repo root "
                              "(default: %s)" % ", ".join(DEFAULT_TARGETS))
     parser.add_argument("--root", default=None, help="repo root (default: auto-detect)")
-    parser.add_argument("--deep", action="store_true",
-                        help="add the whole-program pass: import graph, "
-                             "units dataflow, paper-constants registry")
-    parser.add_argument("--shard-safety", action="store_true", dest="shard",
-                        help="add the shard-safety pass: mutable-global, "
-                             "loop-ownership, RNG-provenance, spawn-safety")
-    parser.add_argument("--perf", action="store_true",
-                        help="add the hot-path performance pass: call-graph "
-                             "hotness propagation, alloc-in-hot-loop, "
-                             "slow-idiom, hidden-quadratic, unguarded-hot-call")
-    parser.add_argument("--changed", action="store_true",
-                        help="incremental mode: re-analyze only modified "
-                             "modules plus their dependents, splicing cached "
-                             "results for the rest (results are identical to "
-                             "a full run)")
-    parser.add_argument("--cache", default=None, metavar="FILE",
-                        help="violation-cache path for --changed "
-                             "(default: <root>/.repro-lint-cache.json)")
     parser.add_argument("--format", choices=("human", "json", "sarif"),
-                        default=None, dest="fmt",
+                        default="human", dest="fmt",
                         help="output format (default: human)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable JSON output (same as "
-                             "--format json)")
     parser.add_argument("--rule", action="append", dest="rule_ids", metavar="ID",
                         help="run only this rule (repeatable)")
     parser.add_argument("--all-rules", action="store_true",
@@ -107,45 +73,22 @@ def main(argv=None, root=None) -> int:
     if args.list_rules:
         for rule in all_rules():
             scope = ", ".join(rule.scopes) if rule.scopes else "(everywhere)"
+            if isinstance(rule, ProjectRule):
+                scope = "whole-program; " + scope
             print("%-20s [%s] %s" % (rule.id, scope, rule.description))
-        for rule in all_deep_rules():
-            scope = ", ".join(rule.scopes) if rule.scopes else "(everywhere)"
-            print("%-20s [deep; %s] %s" % (rule.id, scope, rule.description))
-        for rule in all_shard_rules():
-            scope = ", ".join(rule.scopes) if rule.scopes else "(everywhere)"
-            print("%-20s [shard; %s] %s" % (rule.id, scope, rule.description))
-        for rule in all_perf_rules():
-            scope = ", ".join(rule.scopes) if rule.scopes else "(everywhere)"
-            print("%-20s [perf; %s] %s" % (rule.id, scope, rule.description))
         return 0
 
-    fmt = args.fmt or ("json" if args.as_json else "human")
     base = Path(args.root) if args.root else (Path(root) if root else _find_root())
     if base is None:
         print("repro lint: cannot locate the repo root (looked for tools/lint "
               "above the cwd); pass --root", flush=True)
         return 2
-    targets = args.targets or list(DEFAULT_TARGETS)
-    if args.changed:
-        from .incremental import lint_paths_incremental
-
-        violations, stats = lint_paths_incremental(
-            base, targets, rule_ids=args.rule_ids,
-            all_rules_everywhere=args.all_rules,
-            deep=args.deep, shard=args.shard, perf=args.perf,
-            cache_path=Path(args.cache) if args.cache else None)
-        if fmt == "human":
-            print("changed: %d file(s), re-analyzed %d of %d (%s)"
-                  % (stats["changed"], stats["analyzed"], stats["total"],
-                     "cold cache" if stats["cold"] else "warm cache"))
-    else:
-        violations = lint_paths(base, targets, rule_ids=args.rule_ids,
-                                all_rules_everywhere=args.all_rules,
-                                deep=args.deep, shard=args.shard,
-                                perf=args.perf)
-    if fmt == "json":
+    violations = lint_paths(base, args.targets or list(DEFAULT_TARGETS),
+                            rule_ids=args.rule_ids,
+                            all_rules_everywhere=args.all_rules)
+    if args.fmt == "json":
         print(format_json(violations))
-    elif fmt == "sarif":
+    elif args.fmt == "sarif":
         print(format_sarif(violations))
     else:
         print(format_human(violations))

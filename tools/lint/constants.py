@@ -2,7 +2,7 @@
 
 CellFusion's correctness rests on a handful of numbers and shapes the
 paper fixes explicitly (§4.3–§4.5, Theorem 4.1).  This module declares
-them once, with their paper references, and the ``constant-drift`` deep
+them once, with their paper references, and the ``constant-drift``
 rule (:mod:`tools.lint.xrules`) statically cross-checks every module-level
 constant and dataclass-field default in the tree against the registry —
 so a refactor that quietly turns ``t_expire`` into 0.5 s or widens ``ρ``
@@ -329,7 +329,7 @@ def _iter_default_bindings(tree: ast.Module):
 def check_project_constants(project) -> List[Finding]:
     """Cross-check every module in ``project`` against :data:`REGISTRY`."""
     findings: List[Finding] = []
-    for rel, info in project.active_modules():
+    for rel, info in project.modules.items():
         consts = _module_consts(info.tree)
         for name, value_node, anchor in _iter_default_bindings(info.tree):
             entry = _BINDING_INDEX.get(name)

@@ -1,4 +1,4 @@
-"""Units-of-measure dataflow for the deep lint pass (phase 1).
+"""Units-of-measure dataflow for the ``unit-mix`` rule.
 
 A tiny intra-procedural abstract interpretation over a flat units
 lattice::
@@ -36,7 +36,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "SECONDS",
@@ -355,15 +355,9 @@ class FunctionUnits:
                 "argument %r" % pname))
 
 
-def _iter_functions(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def analyze_module_units(project, info) -> List[UnitConflict]:
     """All unit conflicts in one module: module body + every function."""
     conflicts = FunctionUnits(project, info).run()
-    for func in _iter_functions(info.tree):
+    for func in info.functions:
         conflicts.extend(FunctionUnits(project, info, func).run())
     return conflicts

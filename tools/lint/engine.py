@@ -1,32 +1,24 @@
 """Zero-dependency AST lint engine with repo-native rules.
 
-The engine hosts **four pass levels** over one parse of the tree:
+The engine hosts **one pass** over one parse of the tree, running two
+kinds of rule from one registry:
 
-* the **per-file pass** (``repro lint``) — each :class:`Rule` sees one
-  :class:`ModuleSource` at a time;
-* the **deep pass** (``repro lint --deep``) — each :class:`DeepRule`
-  sees the whole-program :class:`~tools.lint.graph.Project` (import
-  graph, symbol table, units dataflow) and yields violations anchored
-  anywhere in the tree;
-* the **shard-safety pass** (``repro lint --shard-safety``) — each
-  :class:`ShardRule` proves the tree safe to replicate across worker
-  processes and event loops (mutable-global, loop-ownership,
-  RNG-provenance and spawn-safety analyses; see
-  :mod:`tools.lint.shard`);
-* the **perf pass** (``repro lint --perf``) — each :class:`PerfRule`
-  analyzes the functions reachable from a packet-rate loop (the static
-  call graph seeded from the bench suites and the ``@hot_path``
-  registry) for allocation churn and slow idioms; see
-  :mod:`tools.lint.perf`.
+* a per-file :class:`Rule` sees one :class:`ModuleSource` at a time;
+* a whole-program :class:`ProjectRule` sees the
+  :class:`~tools.lint.graph.Project` built over the same parse (import
+  graph, symbol table, units dataflow, static call graph) and yields
+  violations anchored anywhere in the tree.
 
-A new rule costs ~20 lines at any level:
+The two bases exist because the two kinds take different inputs; there
+is no level, tag or flag beyond that — every run executes every rule
+(``--rule ID`` narrows it).
 
-1. subclass :class:`Rule` (implement ``check(module)``),
-   :class:`DeepRule`, :class:`ShardRule` or :class:`PerfRule`
-   (implement ``check_project(project)``), yielding :class:`Violation`
-   objects;
-2. decorate it with :func:`register` — the registry sorts the rule into
-   the right pass automatically.
+A new rule costs ~20 lines:
+
+1. subclass :class:`Rule` (implement ``check(module)``) or
+   :class:`ProjectRule` (implement ``check_project(project)``), yielding
+   :class:`Violation` objects;
+2. decorate it with :func:`register`.
 
 Scoping, suppression, and output are engine concerns:
 
@@ -65,14 +57,9 @@ __all__ = [
     "Violation",
     "ModuleSource",
     "Rule",
-    "DeepRule",
-    "ShardRule",
-    "PerfRule",
+    "ProjectRule",
     "register",
     "all_rules",
-    "all_deep_rules",
-    "all_shard_rules",
-    "all_perf_rules",
     "iter_py_files",
     "lint_paths",
     "format_human",
@@ -109,7 +96,10 @@ class ModuleSource:
     ``rel`` is the path relative to the lint root (used for scoping),
     ``tree`` the parsed AST, ``parents`` a child -> parent node map so
     rules can walk upward (e.g. the telemetry-guard rule looking for an
-    enclosing ``if``).
+    enclosing ``if``).  ``nodes`` is every node of the tree in
+    ``ast.walk`` order and ``functions`` the (async) function defs among
+    them, both recorded by the one walk that builds ``parents`` — rules
+    iterate these instead of re-walking the module.
     """
 
     def __init__(self, path: Path, rel: str, text: str):
@@ -119,7 +109,12 @@ class ModuleSource:
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=str(path))
         self.parents: Dict[ast.AST, ast.AST] = {}
+        self.nodes: List[ast.AST] = []
+        self.functions: List[ast.AST] = []
         for parent in ast.walk(self.tree):
+            self.nodes.append(parent)
+            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.functions.append(parent)
             for child in ast.iter_child_nodes(parent):
                 self.parents[child] = parent
         #: line -> (set of suppressed rule ids, justification or None)
@@ -157,8 +152,8 @@ class Rule:
     #: implements the guarded API itself).
     exempt: Tuple[str, ...] = ()
 
-    def applies_to(self, module: ModuleSource) -> bool:
-        rel = module.rel.replace("\\", "/")
+    def applies_to_path(self, rel: str) -> bool:
+        rel = rel.replace("\\", "/")
         if any(rel.startswith(e) for e in self.exempt):
             return False
         if not self.scopes:
@@ -174,93 +169,34 @@ class Rule:
         return Violation(self.id, module.rel, line, col, message)
 
 
-class DeepRule(Rule):
+class ProjectRule(Rule):
     """A whole-program rule: sees the Project, not one module.
 
     ``scopes`` still applies — but to the *path of each violation* the
-    rule yields, so a deep rule can consume references from tests while
-    only reporting findings inside ``src/repro/``.
+    rule yields, so a project rule can consume references from tests
+    while only reporting findings inside ``src/repro/``.
     """
-
-    def check(self, module: ModuleSource) -> Iterable[Violation]:
-        return ()
 
     def check_project(self, project) -> Iterable[Violation]:
         raise NotImplementedError
 
-    def applies_to_path(self, rel: str) -> bool:
-        rel = rel.replace("\\", "/")
-        if any(rel.startswith(e) for e in self.exempt):
-            return False
-        if not self.scopes:
-            return True
-        return any(rel.startswith(s) for s in self.scopes)
-
-
-class ShardRule(DeepRule):
-    """A shard-safety rule: whole-program, but its own pass level.
-
-    Shard rules prove the codebase safe to replicate across worker
-    processes and event loops (the ROADMAP item-1 fleet runner).  They
-    see the same :class:`~tools.lint.graph.Project` the deep pass
-    builds, but run only under ``repro lint --shard-safety`` so the
-    deep gate and the shard gate stay independently green.
-    """
-
-
-class PerfRule(DeepRule):
-    """A hot-path performance rule: whole-program, its own pass level.
-
-    Perf rules see the same :class:`~tools.lint.graph.Project` the deep
-    pass builds, plus its lazily-constructed static call graph and hot
-    set (:meth:`~tools.lint.graph.Project.call_graph`).  They run only
-    under ``repro lint --perf`` so the hot-path cost gate is independent
-    of the correctness gates.
-    """
-
 
 _REGISTRY: Dict[str, Rule] = {}
-_DEEP_REGISTRY: Dict[str, DeepRule] = {}
-_SHARD_REGISTRY: Dict[str, "ShardRule"] = {}
-_PERF_REGISTRY: Dict[str, "PerfRule"] = {}
 
 
 def register(cls):
-    """Class decorator adding a rule to the per-file, deep, shard, or perf registry."""
+    """Class decorator adding a rule to the registry."""
     if not cls.id:
         raise ValueError("rule %r needs a non-empty id" % cls)
-    if (cls.id in _REGISTRY or cls.id in _DEEP_REGISTRY
-            or cls.id in _SHARD_REGISTRY or cls.id in _PERF_REGISTRY):
+    if cls.id in _REGISTRY:
         raise ValueError("duplicate rule id %r" % cls.id)
-    if issubclass(cls, PerfRule):
-        _PERF_REGISTRY[cls.id] = cls()
-    elif issubclass(cls, ShardRule):
-        _SHARD_REGISTRY[cls.id] = cls()
-    elif issubclass(cls, DeepRule):
-        _DEEP_REGISTRY[cls.id] = cls()
-    else:
-        _REGISTRY[cls.id] = cls()
+    _REGISTRY[cls.id] = cls()
     return cls
 
 
 def all_rules() -> List[Rule]:
-    """The per-file rule set (the default ``repro lint`` pass)."""
+    """Every registered rule, per-file and whole-program, sorted by id."""
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
-def all_deep_rules() -> List[DeepRule]:
-    """The whole-program rule set (``repro lint --deep``)."""
-    return [_DEEP_REGISTRY[k] for k in sorted(_DEEP_REGISTRY)]
-
-
-def all_shard_rules() -> List["ShardRule"]:
-    """The shard-safety rule set (``repro lint --shard-safety``)."""
-    return [_SHARD_REGISTRY[k] for k in sorted(_SHARD_REGISTRY)]
-
-
-def all_perf_rules() -> List["PerfRule"]:
-    """The hot-path performance rule set (``repro lint --perf``)."""
-    return [_PERF_REGISTRY[k] for k in sorted(_PERF_REGISTRY)]
 
 
 #: Directories never descended into.
@@ -293,58 +229,25 @@ def lint_paths(
     targets: Sequence[str],
     rule_ids: Optional[Sequence[str]] = None,
     all_rules_everywhere: bool = False,
-    deep: bool = False,
-    shard: bool = False,
-    perf: bool = False,
-    restrict: Optional[set] = None,
 ) -> List[Violation]:
     """Lint every file under ``targets`` (relative to ``root``).
 
-    ``rule_ids`` restricts to a subset of rules; ``all_rules_everywhere``
-    drops path scoping (fixture testing); ``deep`` additionally builds
-    the whole-program :class:`~tools.lint.graph.Project` over the same
-    parse and runs the cross-module rules; ``shard`` runs the
-    shard-safety rules over the same Project; ``perf`` runs the hot-path
-    performance rules over the same Project plus its call graph.
-    Suppressed violations are removed; pragmas lacking a justification
-    are reported as ``bare-suppression`` hits.
-
-    ``restrict``, when given, limits *reporting and per-module analysis*
-    to that set of repo-relative paths: per-file rules skip other files,
-    whole-program rules skip their per-module work for them (via
-    ``Project.active_modules``), and any violation anchored outside the
-    set is dropped.  The incremental mode (``--changed``,
-    :mod:`tools.lint.incremental`) splices cached results back in for
-    the skipped files — callers must not interpret a restricted run as a
-    whole-tree verdict on its own.
+    Parses each file once, runs the per-file rules on it, then builds
+    one :class:`~tools.lint.graph.Project` over the same parse and runs
+    the whole-program rules.  ``rule_ids`` restricts to a subset of
+    rules; ``all_rules_everywhere`` drops path scoping (fixture
+    testing).  Suppressed violations are removed; pragmas lacking a
+    justification are reported as ``bare-suppression`` hits.
     """
     rules = all_rules()
-    deep_rules = all_deep_rules() if deep else []
-    shard_rules = all_shard_rules() if shard else []
-    perf_rules = all_perf_rules() if perf else []
     if rule_ids:
-        known = ({r.id for r in all_rules()} | {r.id for r in all_deep_rules()}
-                 | {r.id for r in all_shard_rules()}
-                 | {r.id for r in all_perf_rules()})
-        unknown = set(rule_ids) - known
+        wanted = set(rule_ids)
+        unknown = wanted - {r.id for r in rules}
         if unknown:
             raise ValueError("unknown rule ids: %s" % ", ".join(sorted(unknown)))
-        deep_only = set(rule_ids) & {r.id for r in all_deep_rules()}
-        if deep_only and not deep:
-            raise ValueError("deep-only rule ids need --deep: %s"
-                             % ", ".join(sorted(deep_only)))
-        shard_only = set(rule_ids) & {r.id for r in all_shard_rules()}
-        if shard_only and not shard:
-            raise ValueError("shard-only rule ids need --shard-safety: %s"
-                             % ", ".join(sorted(shard_only)))
-        perf_only = set(rule_ids) & {r.id for r in all_perf_rules()}
-        if perf_only and not perf:
-            raise ValueError("perf-only rule ids need --perf: %s"
-                             % ", ".join(sorted(perf_only)))
-        rules = [r for r in rules if r.id in set(rule_ids)]
-        deep_rules = [r for r in deep_rules if r.id in set(rule_ids)]
-        shard_rules = [r for r in shard_rules if r.id in set(rule_ids)]
-        perf_rules = [r for r in perf_rules if r.id in set(rule_ids)]
+        rules = [r for r in rules if r.id in wanted]
+    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     violations: List[Violation] = []
     modules: Dict[str, ModuleSource] = {}
     for path, rel in iter_py_files(Path(root), targets):
@@ -356,31 +259,24 @@ def lint_paths(
                                         0, "cannot parse: %s" % exc))
             continue
         modules[rel] = module
-        if restrict is not None and rel not in restrict:
-            continue
         for line, (_ids, why) in sorted(module.suppressions.items()):
             if why is None or not why.strip():
                 violations.append(Violation(
                     "bare-suppression", rel, line, 0,
                     "suppression without justification; use "
                     "'# lint: disable=<id> -- <reason>'"))
-        for rule in rules:
-            if not all_rules_everywhere and not rule.applies_to(module):
+        for rule in file_rules:
+            if not all_rules_everywhere and not rule.applies_to_path(rel):
                 continue
             for v in rule.check(module):
                 if not module.suppressed(v.rule, v.line):
                     violations.append(v)
-    cross_rules: List[DeepRule] = (list(deep_rules) + list(shard_rules)
-                                   + list(perf_rules))
-    if cross_rules and modules:
+    if project_rules and modules:
         from .graph import Project
 
         project = Project(modules)
-        project.restrict = restrict
-        for rule in cross_rules:
+        for rule in project_rules:
             for v in rule.check_project(project):
-                if restrict is not None and v.path not in restrict:
-                    continue
                 if not all_rules_everywhere and not rule.applies_to_path(v.path):
                     continue
                 holder = modules.get(v.path)
@@ -406,11 +302,10 @@ def format_json(violations: Sequence[Violation]) -> str:
 def format_sarif(violations: Sequence[Violation]) -> str:
     """SARIF 2.1.0 output: one run, one result per violation.
 
-    The rule catalogue (all three pass levels) is embedded as the tool's
-    ``rules`` array so CI annotation surfaces can show descriptions.
+    The descriptions of the rules that fired are embedded as the tool's
+    ``rules`` array so CI annotation surfaces can show them.
     """
-    catalogue = {r.id: r for r in (all_rules() + all_deep_rules()
-                                   + all_shard_rules() + all_perf_rules())}
+    catalogue = {r.id: r for r in all_rules()}
     used = sorted({v.rule for v in violations})
     rules_meta = []
     for rule_id in used:

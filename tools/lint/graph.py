@@ -1,4 +1,4 @@
-"""Whole-program infrastructure for the deep lint pass (phase 1).
+"""Whole-program infrastructure for the project-level lint rules.
 
 :class:`Project` turns the flat list of parsed modules the engine already
 holds into the three structures the cross-module rules in
@@ -89,10 +89,14 @@ class SymbolDef:
 class ModuleInfo:
     """Per-module slice of the project symbol table."""
 
-    def __init__(self, rel: str, name: str, tree: ast.Module):
+    def __init__(self, rel: str, name: str, source):
         self.rel = rel
         self.name = name
-        self.tree = tree
+        self.tree: ast.Module = source.tree
+        #: The engine's one-walk node and function-def lists
+        #: (``ModuleSource.nodes`` / ``.functions``, ``ast.walk`` order).
+        self.nodes: List[ast.AST] = source.nodes
+        self.functions: List[ast.AST] = source.functions
         self.is_package = rel.endswith("__init__.py")
         #: Top-level bindings by name.
         self.symbols: Dict[str, SymbolDef] = {}
@@ -115,9 +119,9 @@ class ModuleInfo:
 class Project:
     """The whole-program view: modules, import graph, references.
 
-    ``modules`` maps repo-relative path -> an object with ``tree`` (the
-    parsed AST) — the engine passes its ``ModuleSource`` instances
-    directly.
+    ``modules`` maps repo-relative path -> the engine's ``ModuleSource``;
+    :attr:`modules` (path -> :class:`ModuleInfo`) iterates in sorted
+    path order.
     """
 
     def __init__(self, modules: Dict[str, "object"]):
@@ -125,18 +129,15 @@ class Project:
         self.modules: Dict[str, ModuleInfo] = {}
         #: dotted name -> ModuleInfo (reverse of the path map).
         self.by_name: Dict[str, ModuleInfo] = {}
-        #: Lazily-built static call graph (the perf pass); see call_graph().
+        #: Lazily-built static call graph (the hot-path rules); see call_graph().
         self._call_graph: Optional["CallGraph"] = None
-        #: Optional set of repo-relative paths the per-module rule work is
-        #: limited to (the --changed incremental mode); None = all.
-        self.restrict: Optional[Set[str]] = None
         self.edges: List[ImportEdge] = []
         #: (module, symbol) pairs referenced from *other* modules.
         self.references: Set[Tuple[str, str]] = set()
         #: Re-export aliases: (pkg, name) -> (origin module, origin name).
         self.reexports: Dict[Tuple[str, str], Tuple[str, str]] = {}
         for rel, source in sorted(self.sources.items()):
-            info = ModuleInfo(rel, module_name_for(rel), source.tree)
+            info = ModuleInfo(rel, module_name_for(rel), source)
             self.modules[rel] = info
             self.by_name[info.name] = info
         for info in self.modules.values():
@@ -199,7 +200,7 @@ class Project:
 
     def _collect_imports(self, info: ModuleInfo) -> None:
         top_level_nodes = set(map(id, info.tree.body))
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             top = id(node) in top_level_nodes
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -250,7 +251,7 @@ class Project:
                 for exported in origin.exports:
                     self.references.add((source, exported))
         # dotted reads through module aliases: ``alias.attr`` / ``alias.sub.attr``
-        for node in ast.walk(info.tree):
+        for node in info.nodes:
             if not isinstance(node, ast.Attribute):
                 continue
             chain = _dotted_chain(node)
@@ -279,18 +280,6 @@ class Project:
 
     # -- queries ---------------------------------------------------------------
 
-    def active_modules(self) -> List[Tuple[str, ModuleInfo]]:
-        """(rel, info) pairs the per-module rule work should cover, sorted.
-
-        Honours :attr:`restrict` — the incremental mode's contract is
-        that skipped modules' findings come from the violation cache, so
-        rules iterating this list stay exact while doing less work.
-        """
-        items = sorted(self.modules.items())
-        if self.restrict is None:
-            return items
-        return [(rel, info) for rel, info in items if rel in self.restrict]
-
     def import_graph(self, top_level_only: bool = True) -> Dict[str, Set[str]]:
         graph: Dict[str, Set[str]] = {name: set() for name in self.by_name}
         for edge in self.edges:
@@ -317,13 +306,7 @@ class Project:
         return (module, symbol) in self.references
 
     def call_graph(self) -> "CallGraph":
-        """The static call graph + hot set, built once per Project.
-
-        Always computed over **every** module regardless of
-        :attr:`restrict` — incremental mode limits reporting, and
-        hotness must stay globally exact for spliced verdicts to match a
-        full run.
-        """
+        """The static call graph + hot set, built once per Project."""
         if self._call_graph is None:
             self._call_graph = CallGraph(self)
         return self._call_graph

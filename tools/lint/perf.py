@@ -1,14 +1,14 @@
-"""Hot-path performance rules: the ``repro lint --perf`` pass.
+"""Hot-path performance rules: what a packet-rate loop may not do.
 
 CellFusion's data plane must sustain per-packet encode/recode/decode at
 line rate (§5); PR 4 bought 2.66× on that path largely by deleting
 per-packet allocation churn and slow idioms, and ROADMAP item 2 demands
 the next order of magnitude.  Nothing structural stopped a later change
-from re-introducing those costs — so this pass makes hot-path cost a
+from re-introducing those costs — so these rules make hot-path cost a
 statically checked property, the way determinism, paper constants and
 shard safety already are.
 
-The pass runs over the deep pass's single-parse
+They run over the engine's single-parse
 :class:`~tools.lint.graph.Project` plus its static call graph
 (:meth:`Project.call_graph`).  **Hotness** is seeded from the bench
 suite entry points (every function in ``tools.bench.suites``) and from
@@ -48,7 +48,7 @@ import ast
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .engine import PerfRule, Violation, register
+from .engine import ProjectRule, Violation, register
 from .graph import CallGraph, FuncNode, ModuleInfo, Project
 
 __all__ = [
@@ -188,7 +188,7 @@ def _own_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
                 yield from ast.walk(item)
 
 
-class _HotFunctionRule(PerfRule):
+class _HotFunctionRule(ProjectRule):
     """Shared driver: iterate hot functions, apply pragma suppression.
 
     Subclasses implement :meth:`check_hot_function`; a finding whose
@@ -250,7 +250,7 @@ class AllocInHotLoopRule(_HotFunctionRule):
         yield from super().check_project(project)
         # a hot-ok pragma with no reason is itself a violation (reported
         # once, by this rule, mirroring shard-mutable-global)
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             for line, why in sorted(hot_ok_pragmas(_module_lines(project, rel)).items()):
                 if not why:
                     yield Violation(

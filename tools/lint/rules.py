@@ -63,7 +63,7 @@ class WallClockRule(Rule):
     _DATETIME_ATTRS = {"now", "utcnow", "today"}
 
     def check(self, module: ModuleSource) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
@@ -102,7 +102,7 @@ class UnseededRngRule(Rule):
     }
 
     def check(self, module: ModuleSource) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = dotted_name(node.func)
@@ -139,7 +139,7 @@ class RawRngRule(Rule):
     scopes = SIM_SCOPE
 
     def check(self, module: ModuleSource) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if dotted_name(node.func) == ("random", "Random") and (node.args or node.keywords):
@@ -177,7 +177,7 @@ class FloatTimeEqRule(Rule):
         return False
 
     def check(self, module: ModuleSource) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -197,7 +197,7 @@ class FloatTimeEqRule(Rule):
 class TelemetryGuardRule(Rule):
     """Telemetry hot-path calls must sit behind the null-singleton guard.
 
-    The disabled-overhead budget (tools/check_telemetry_overhead.py)
+    The disabled-overhead budget (tools/check_overhead.py)
     assumes every ``tel.event/count/observe/set_gauge`` call site is
     guarded by ``if tel.enabled:`` (or an enclosing ``is not None`` check
     on an optional handle), so the disabled cost is one branch — an
@@ -234,7 +234,7 @@ class TelemetryGuardRule(Rule):
         return False
 
     def check(self, module: ModuleSource) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             if node.func.attr not in self._METHODS:

@@ -1,10 +1,10 @@
-"""Shard-safety rules: the ``repro lint --shard-safety`` pass.
+"""Shard-safety rules: is the tree safe to replicate across workers?
 
 ROADMAP item 1 shards N = 100 → 10k seeded vehicle tunnels across
 worker processes, one event loop per shard.  That replication is only
 sound if no hidden module-level mutable state, cross-loop object
 leakage, or unseeded RNG provenance can make shards interfere or
-diverge.  Four cooperating passes over the deep pass's
+diverge.  Four cooperating rules over the engine's
 :class:`~tools.lint.graph.Project` prove it statically:
 
 * ``shard-mutable-global`` — module-level mutable state (dict/list/set
@@ -51,7 +51,7 @@ import ast
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .engine import ShardRule, Violation, register
+from .engine import ProjectRule, Violation, register
 from .graph import ModuleInfo, Project
 
 __all__ = [
@@ -119,12 +119,6 @@ def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _iter_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def _walk_stmts_ordered(body: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
     """Statements in source/execution order, recursing into nested
     blocks (if/for/while/try/with bodies) but not into nested
@@ -159,7 +153,7 @@ def _module_lines(project: Project, rel: str):
 
 
 @register
-class MutableGlobalRule(ShardRule):
+class MutableGlobalRule(ProjectRule):
     """Module-level mutable state written from function bodies.
 
     Each worker shard imports its own copy of every module, so a
@@ -182,7 +176,7 @@ class MutableGlobalRule(ShardRule):
         defs: Dict[str, Dict[str, ast.AST]] = {}
         for rel, info in sorted(project.modules.items()):
             defs[info.name] = self._mutable_globals(info)
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             pragmas = shard_safe_pragmas(_module_lines(project, rel))
             yield from self._check_module(project, rel, info, defs, pragmas)
             for line, why in sorted(pragmas.items()):
@@ -256,7 +250,7 @@ class MutableGlobalRule(ShardRule):
     @staticmethod
     def _cross_module_writes(info: ModuleInfo) -> Iterator[Tuple[str, str, ast.AST]]:
         """(target module, global name, write node) for ``mod.G[...] = v`` etc."""
-        for func in _iter_functions(info.tree):
+        for func in info.functions:
             for node in ast.walk(func):
                 chains: List[Tuple[Tuple[str, ...], ast.AST]] = []
                 if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -287,7 +281,7 @@ class MutableGlobalRule(ShardRule):
                       pragmas: Dict[int, str]) -> Iterator[Violation]:
         mutable = defs.get(info.name, {})
         writes: Dict[str, List[ast.AST]] = {}
-        for func in _iter_functions(info.tree):
+        for func in info.functions:
             func_locals = self._local_bindings(func)
             for name, node in self._written_names(func):
                 if name in mutable and name not in func_locals:
@@ -334,7 +328,7 @@ class MutableGlobalRule(ShardRule):
                     "justify with '# lint: shard-safe(<reason>)' or make it "
                     "an instance attribute" % (cls_name, attr, hit.lineno))
         # mutable default arguments: a hidden cache shared across calls
-        for func in _iter_functions(info.tree):
+        for func in info.functions:
             args = func.args
             for default in list(args.defaults) + [d for d in args.kw_defaults if d]:
                 if not _is_mutable_value(default):
@@ -347,7 +341,7 @@ class MutableGlobalRule(ShardRule):
                     "— a hidden module-level cache; default to None and "
                     "construct inside the function" % func.name)
         # unbounded memo decorators
-        for func in _iter_functions(info.tree):
+        for func in info.functions:
             for deco in func.decorator_list:
                 verdict = self._memo_verdict(deco)
                 if verdict is None:
@@ -400,7 +394,7 @@ class MutableGlobalRule(ShardRule):
     def _class_attr_written(info: ModuleInfo, cls_name: str,
                             attr: str) -> Optional[ast.AST]:
         """First function-body mutation of ``cls_name.attr`` (or ``cls.attr``)."""
-        for func in _iter_functions(info.tree):
+        for func in info.functions:
             for node in ast.walk(func):
                 receiver = None
                 if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -455,7 +449,7 @@ _LOOP_NAMES = frozenset({"loop", "event_loop"})
 
 
 @register
-class LoopOwnershipRule(ShardRule):
+class LoopOwnershipRule(ProjectRule):
     """Event-loop-owned objects must not outlive or cross their loop.
 
     The fleet runner gives every shard its own event loop; an object
@@ -472,7 +466,7 @@ class LoopOwnershipRule(ShardRule):
     scopes = SHARD_SCOPE
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             # module-level loop construction: a process-wide singleton
             for node in info.tree.body:
                 for call in self._calls_in_statement(node):
@@ -482,7 +476,7 @@ class LoopOwnershipRule(ShardRule):
                             "EventLoop constructed at module level is a "
                             "process-wide singleton shared by every shard; "
                             "construct one loop per shard inside the runner")
-            for func in _iter_functions(info.tree):
+            for func in info.functions:
                 yield from self._check_function(rel, info, func)
 
     @staticmethod
@@ -584,7 +578,7 @@ _RNG_NAME = re.compile(r"(?:^|_)rng$|^rng", re.IGNORECASE)
 
 
 @register
-class RngProvenanceRule(ShardRule):
+class RngProvenanceRule(ProjectRule):
     """Every RNG derives from ``seeded_rng`` with a string derivation path.
 
     ``seeded_rng(seed)`` with no components is byte-equivalent to
@@ -626,11 +620,11 @@ class RngProvenanceRule(ShardRule):
         return resolved == self._PROVIDER[0]
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             local_names = self._seeded_rng_names(info)
             mutable_globals = MutableGlobalRule._mutable_globals(info)
             rng_call_lines: Set[int] = set()
-            for node in ast.walk(info.tree):
+            for node in info.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 if self._is_seeded_rng_call(info, node, local_names):
@@ -674,7 +668,7 @@ class RngProvenanceRule(ShardRule):
     def _check_reseed_and_escape(self, rel: str, info: ModuleInfo,
                                  local_names: Set[str],
                                  mutable_globals) -> Iterator[Violation]:
-        for func in _iter_functions(info.tree):
+        for func in info.functions:
             tainted: Set[str] = set()
             declared_global: Set[str] = set()
             for node in ast.walk(func):
@@ -740,7 +734,7 @@ _EXECUTOR_CTORS = frozenset({
 
 
 @register
-class SpawnSafetyRule(ShardRule):
+class SpawnSafetyRule(ProjectRule):
     """Nothing unpicklable may cross a worker-process boundary.
 
     ``multiprocessing`` and ``concurrent.futures`` pickle the callable
@@ -757,9 +751,9 @@ class SpawnSafetyRule(ShardRule):
     scopes = SHARD_SCOPE
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             module_level = set(info.symbols)
-            for func in _iter_functions(info.tree):
+            for func in info.functions:
                 nested_defs = {
                     n.name for n in ast.walk(func)
                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,

@@ -1,4 +1,4 @@
-"""Cross-module (deep) lint rules: the ``repro lint --deep`` pass.
+"""Cross-module lint rules: correctness of the program as a whole.
 
 These rules see the whole program at once — the import graph, the
 project symbol table, and the units dataflow of :mod:`tools.lint.graph`
@@ -25,8 +25,8 @@ per-file pass cannot:
   timestamps are sim-clock by contract, or replays stop being
   byte-identical).
 
-Deep rules run only under ``repro lint --deep``; they share the engine's
-scoping, suppression, and output machinery with the per-file rules.
+They share the engine's scoping, suppression, and output machinery with
+the per-file rules and run in the same single pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable
 
 from .constants import REGISTRY, check_project_constants
 from .dataflow import analyze_module_units
-from .engine import DeepRule, Violation, register
+from .engine import ProjectRule, Violation, register
 from .graph import Project
 
 __all__ = [
@@ -48,12 +48,12 @@ __all__ = [
     "SpanLifecycleRule",
 ]
 
-#: Deep rules cover the simulated tree; fixtures opt in via --all-rules.
+#: These rules cover the simulated tree; fixtures opt in via --all-rules.
 DEEP_SCOPE = ("src/repro/",)
 
 
 @register
-class ImportCycleRule(DeepRule):
+class ImportCycleRule(ProjectRule):
     """Top-level import cycles deadlock or import half-initialised modules."""
 
     id = "import-cycle"
@@ -73,7 +73,7 @@ class ImportCycleRule(DeepRule):
 
 
 @register
-class DeadPublicApiRule(DeepRule):
+class DeadPublicApiRule(ProjectRule):
     """``__all__`` entries nothing else in the project references."""
 
     id = "dead-public-api"
@@ -89,7 +89,7 @@ class DeadPublicApiRule(DeepRule):
         anchor for const in REGISTRY for anchor in const.anchors)
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             if info.is_package:
                 # package __init__ exports are curated re-export surface;
                 # reachability through them is propagated to the origin
@@ -109,7 +109,7 @@ class DeadPublicApiRule(DeepRule):
 
 
 @register
-class UnitMixRule(DeepRule):
+class UnitMixRule(ProjectRule):
     """Mixed units of measure in arithmetic, comparison, or call args."""
 
     id = "unit-mix"
@@ -119,7 +119,7 @@ class UnitMixRule(DeepRule):
     scopes = DEEP_SCOPE
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             for c in analyze_module_units(project, info):
                 yield Violation(
                     self.id, rel, c.line, c.col,
@@ -128,7 +128,7 @@ class UnitMixRule(DeepRule):
 
 
 @register
-class ExceptHygieneRule(DeepRule):
+class ExceptHygieneRule(ProjectRule):
     """Broad exception handlers that swallow failures silently."""
 
     id = "except-hygiene"
@@ -165,8 +165,8 @@ class ExceptHygieneRule(DeepRule):
         return False
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
-            for node in ast.walk(info.tree):
+        for rel, info in project.modules.items():
+            for node in info.nodes:
                 if not isinstance(node, ast.ExceptHandler):
                     continue
                 if self._is_broad(node) and not self._records_failure(node):
@@ -178,7 +178,7 @@ class ExceptHygieneRule(DeepRule):
 
 
 @register
-class SpanLifecycleRule(DeepRule):
+class SpanLifecycleRule(ProjectRule):
     """Causal-span lifecycle discipline (see repro.obs.spans).
 
     Two breach shapes:
@@ -236,9 +236,9 @@ class SpanLifecycleRule(DeepRule):
         return None
 
     def check_project(self, project: Project) -> Iterable[Violation]:
-        for rel, info in project.active_modules():
+        for rel, info in project.modules.items():
             # breach 1: statement-position open() discards the span id
-            for node in ast.walk(info.tree):
+            for node in info.nodes:
                 if not (isinstance(node, ast.Expr)
                         and isinstance(node.value, ast.Call)
                         and isinstance(node.value.func, ast.Attribute)
@@ -251,9 +251,7 @@ class SpanLifecycleRule(DeepRule):
                     "closed; keep it (sid = sp.open(...)) or use instant() "
                     "for zero-duration marks")
             # breach 2: wall-clock reads inside span-handling functions
-            for func in ast.walk(info.tree):
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
+            for func in info.functions:
                 if not any(True for _ in self._span_calls(func)):
                     continue
                 for node in func.body:
@@ -276,7 +274,7 @@ class SpanLifecycleRule(DeepRule):
 
 
 @register
-class ConstantDriftRule(DeepRule):
+class ConstantDriftRule(ProjectRule):
     """Defaults contradicting the paper-constants registry."""
 
     id = "constant-drift"
