@@ -49,8 +49,8 @@ def build_bonding_paths(emulator: MultipathEmulator, names: Optional[list] = Non
     """Paths with unlimited windows for the bonding client."""
     manager = PathManager()
     for pid in emulator.path_ids():
-        name = names[pid] if names else "path-%d" % pid  # lint: hot-ok(transport construction, once per run over N<=8 paths)
-        manager.add(PathState(pid, name=name, cc=UnlimitedController()))  # lint: hot-ok(transport construction, once per run over N<=8 paths)
+        name = names[pid] if names else "path-%d" % pid
+        manager.add(PathState(pid, name=name, cc=UnlimitedController()))
     return manager
 
 

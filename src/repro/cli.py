@@ -27,10 +27,7 @@ Commands:
   writes the HTML verdict matrix (see docs/robustness.md);
 * ``trace`` — synthesise a cellular drive trace and export it;
 * ``lint`` — run the repo's static protocol/determinism linter
-  (``tools/lint``) over the source tree;
-* ``bench`` — run the deterministic hot-path microbenchmarks
-  (``tools/bench``) with optional regression gating (see
-  docs/performance.md).
+  (``tools/lint``) over the source tree.
 
 ``run --sanitize`` arms the runtime protocol sanitizer for the session —
 every transmit, ACK, range build, recovery plan and decode completion is
@@ -369,16 +366,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint.main(forwarded)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # same sibling-package arrangement as the linter (see _cmd_lint)
-    import tools.bench as bench
-
-    forwarded = list(args.bench_args)
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return bench.main(forwarded)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = tuple(range(args.runs))
     res = figures.compare_transports(
@@ -641,12 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="arguments forwarded to tools.lint (e.g. "
                              "--format json, --rule no-wall-clock, paths)")
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_bench = sub.add_parser("bench", help="run the hot-path microbenchmarks")
-    p_bench.add_argument("bench_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to tools.bench (e.g. "
-                              "--smoke, --out FILE, --compare OLD.json)")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -659,12 +640,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         import tools.lint as lint
 
         return lint.main(argv[1:])
-    if argv and argv[0] == "bench":
-        # same verbatim forwarding for the benchmark CLI
-        configure_logging("warning")
-        import tools.bench as bench
-
-        return bench.main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.log_level)

@@ -30,7 +30,6 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..hotpath import hot_path
 from .coefficients import coefficient_bytes
 from .gf256 import gf_addmul_scalar_buffer, gf_addmul_vec, gf_inv, gf_mul_vec
 
@@ -156,7 +155,6 @@ class RlncEncoder:
             width = max(width, len(pkt.payload) + LENGTH_PREFIX_SIZE)
         return width
 
-    @hot_path
     def encode(self, start_id: int, count: int, seed: int) -> bytes:
         """Produce the coded payload for header (count, seed, start_id).
 
@@ -332,7 +330,6 @@ class RlncDecoder:
         if self._on_packet is not None:
             self._on_packet(packet_id, payload)
 
-    @hot_path
     def push(self, start_id: int, count: int, seed: int, payload: bytes) -> List[Tuple[int, bytes]]:
         """Ingest one XNC_NC payload; return newly decoded packets."""
         if not 1 <= count <= MAX_RANGE_PACKETS:
@@ -386,7 +383,7 @@ class RlncDecoder:
         completed = []
         for key, rng in self._ranges.items():
             if rng.start_id <= packet_id < rng.start_id + rng.count:
-                vec = np.zeros(rng.count, dtype=np.uint8)  # lint: hot-ok(reordered-original path, runs per open range not per packet; vector length varies per range)
+                vec = np.zeros(rng.count, dtype=np.uint8)
                 vec[packet_id - rng.start_id] = 1
                 width = max(rng.width, len(payload) + LENGTH_PREFIX_SIZE)
                 rng.add_equation(vec, _frame(payload, width))

@@ -66,15 +66,15 @@ class MultipathEmulator:
         self._on_downlink: Optional[Callable[[int, Any, float], None]] = None
         self.channels: List[PathChannel] = []
         for i, (up, down) in enumerate(zip(uplink_traces, downlink_traces)):
-            up_link = EmulatedLink(  # lint: hot-ok(emulator construction, once per run over N<=8 paths)
+            up_link = EmulatedLink(
                 loop, up, self._make_deliver(i, "up"), queue_limit_bytes,
                 seed=seed * 17 + i, telemetry=telemetry, path_id=i, direction="up"
             )
-            down_link = EmulatedLink(  # lint: hot-ok(emulator construction, once per run over N<=8 paths)
+            down_link = EmulatedLink(
                 loop, down, self._make_deliver(i, "down"), queue_limit_bytes,
                 seed=seed * 31 + i + 7, telemetry=telemetry, path_id=i, direction="down"
             )
-            self.channels.append(PathChannel(i, up_link, down_link))  # lint: hot-ok(emulator construction, once per run over N<=8 paths)
+            self.channels.append(PathChannel(i, up_link, down_link))
 
     @property
     def path_count(self) -> int:

@@ -136,7 +136,7 @@ def build_paths(emulator: MultipathEmulator, cc_factory: Callable, names: Option
     manager = PathManager()
     for pid in emulator.path_ids():
         name = names[pid] if names else emulator.channels[pid].name
-        manager.add(PathState(pid, name=name, cc=cc_factory(), initial_rtt=0.05))  # lint: hot-ok(transport construction, once per run over N<=8 paths)
+        manager.add(PathState(pid, name=name, cc=cc_factory(), initial_rtt=0.05))
     return manager
 
 
@@ -314,7 +314,7 @@ def run_stream(
 
         injector = FaultInjector(loop, emulator, faults, seed=fault_seed, telemetry=tel)
         injector.arm()
-    logger.debug("run_stream transport=%s duration=%.1fs seed=%d telemetry=%s faults=%d",  # lint: hot-ok(one setup-time line per run, not per packet; stdlib logging defers formatting)
+    logger.debug("run_stream transport=%s duration=%.1fs seed=%d telemetry=%s faults=%d",
                  transport, duration, seed, tel is not None,
                  len(faults) if faults is not None else 0)
 

@@ -85,7 +85,7 @@ def _lite_payload(spec: VehicleSpec, config) -> dict:
     received = 0
     delays = []
     status_counts = {"normal": 0, "corrupt": 0, "missing": 0}
-    for _ in range(frames):  # lint: hot-ok(lite-mode vehicle synthesis is the workload itself; one draw per synthetic packet)
+    for _ in range(frames):
         lost = 0
         for _ in range(LITE_PACKETS_PER_FRAME):
             sent += 1

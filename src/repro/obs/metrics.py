@@ -349,7 +349,7 @@ class MetricsRegistry:
         for name, h in other._histograms.items():
             mine = self._histograms.get(name)
             if mine is None:
-                mine = self._histograms[name] = Histogram(  # lint: hot-ok(constructed once per first-seen instrument name, not per fold; adopting the incoming grid needs a fresh Histogram)
+                mine = self._histograms[name] = Histogram(
                     name, growth=h.growth, min_value=h.min_value)
             mine.merge(h)
         return self

@@ -4,8 +4,8 @@ The paper's per-path plots (cwnd/RTT timelines behind Figs. 8 and 14) need
 periodic snapshots of transport state, not just terminal counters.  The
 :class:`PathTimelineSampler` rides a :class:`~repro.emulation.events.PeriodicTimer`
 and appends one :class:`PathSample` per path per interval, reading from
-``PathState`` (and therefore whatever congestion controller — BBR, NewReno,
-CUBIC — the path runs) plus, when given the emulator, the uplink queue
+``PathState`` (and therefore whatever congestion controller — BBR or
+NewReno — the path runs) plus, when given the emulator, the uplink queue
 depth of the corresponding emulated link.
 """
 

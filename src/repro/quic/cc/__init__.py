@@ -2,7 +2,6 @@
 
 from .base import CongestionController, DEFAULT_MSS, INITIAL_WINDOW, MIN_WINDOW
 from .bbr import BbrController
-from .cubic import CubicController
 from .newreno import NewRenoController
 
 __all__ = [
@@ -11,6 +10,5 @@ __all__ = [
     "INITIAL_WINDOW",
     "MIN_WINDOW",
     "BbrController",
-    "CubicController",
     "NewRenoController",
 ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from ..core.frames import FRAME_XNC_NC, FrameError, XncNcFrame
-from ..hotpath import hot_path
 from .packet import AckFrame, PingFrame, QuicPacket
 from .varint import decode_varint, encode_varint
 
@@ -116,7 +115,7 @@ def _decode_ack(data: bytes, offset: int) -> Tuple[AckFrame, int]:
         low = high - length
         if low < 0:
             raise WireError("ACK range underflow")
-        ranges.append((low, high))  # lint: hot-ok(the (low, high) pair IS the parse result; nothing to hoist or reuse)
+        ranges.append((low, high))
         prev_low = low
     ack = AckFrame(
         path_id=path_id,
@@ -127,7 +126,6 @@ def _decode_ack(data: bytes, offset: int) -> Tuple[AckFrame, int]:
     return ack, offset - start
 
 
-@hot_path
 def serialize_packet(packet: QuicPacket) -> bytes:
     """Serialise a short-header packet to bytes."""
     if packet.packet_number < 0:
@@ -167,7 +165,6 @@ class ParsedPacket:
         )
 
 
-@hot_path
 def parse_packet(data: bytes) -> ParsedPacket:
     """Parse bytes produced by :func:`serialize_packet`."""
     min_len = 1 + DCID_LEN + PN_LEN + AEAD_TAG_LEN

@@ -399,7 +399,7 @@ class ProtocolSanitizer:
         PR 1 idle-timer re-arm bug class)."""
         self._tick()
         last, streak = self._timer_fires.get(key, (None, 0))
-        if last is not None and now == last:  # lint: disable=no-float-time-eq -- detecting *identical* re-fire timestamps is the point of this check
+        if last is not None and now == last:
             streak += 1
             if streak > TIMER_SPIN_LIMIT:
                 self._fail("timer-progress",

@@ -431,7 +431,7 @@ def run_scenario(
     """Run one zoo scenario end to end and evaluate its oracles.
 
     ``scenario`` is a :class:`Scenario` or a registry name.  ``smoke``
-    selects the scenario's short duration (CI stage 7); an explicit
+    selects the scenario's short duration (CI stage 6); an explicit
     ``duration`` overrides both.  The result's digest is the soak
     digest: the same call must reproduce it byte for byte.
     """

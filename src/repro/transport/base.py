@@ -27,7 +27,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from ..core.frames import XNC_HEADER_SIZE, XncNcFrame
 from ..core.rlnc import LENGTH_PREFIX_SIZE
 from ..emulation.emulator import MultipathEmulator
-from ..hotpath import hot_path
 from ..emulation.events import EventLoop, PeriodicTimer
 from ..multipath.path import (
     HEALTH_PROBING,
@@ -222,7 +221,6 @@ class TunnelClientBase:
         it."""
         return self._pump((payload,), frame_id)[0]
 
-    @hot_path
     def send_app_burst(self, payloads: Sequence[bytes],
                        frame_id: Optional[int] = None) -> List[Optional[int]]:
         """Accept the packets of one burst — a video frame, entering the
@@ -392,7 +390,7 @@ class TunnelClientBase:
                     # (every ACK and tick while the windows are full) must
                     # not encode the head-of-line packet over and over
                     frame = self._build_frame(pkt)
-                    app_ids = (pkt.packet_id,)  # lint: hot-ok(the app-id tuple is retained in per-packet SentInfo; it is the record, not churn)
+                    app_ids = (pkt.packet_id,)
                     is_dup = False
                     for path in targets:
                         self._transmit_frame(path, frame, app_ids, is_recovery=False, is_dup=is_dup)
@@ -492,7 +490,6 @@ class TunnelClientBase:
 
     # -- downlink (ACK) processing --------------------------------------------
 
-    @hot_path
     def _on_downlink(self, path_id: int, payload: Any, now: float) -> None:
         if self.closed or not isinstance(payload, QuicPacket):
             return
@@ -742,7 +739,6 @@ class TunnelServerBase:
 
     # -- uplink processing -------------------------------------------------------
 
-    @hot_path
     def _on_uplink(self, path_id: int, payload: Any, now: float) -> None:
         if self.closed or not isinstance(payload, QuicPacket):
             return

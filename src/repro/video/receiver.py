@@ -105,6 +105,6 @@ class VideoReceiver:
         for fid in ids:
             record = self.frames.get(fid)
             if record is None:
-                record = FrameRecord(fid, 0.0, False, 0)  # lint: hot-ok(end-of-run report assembly, once per frame after the stream closes)
+                record = FrameRecord(fid, 0.0, False, 0)
             out.append(record)
         return out

@@ -1,6 +1,6 @@
 """Determinism regression: two runs with the same seed are byte-identical.
 
-The benchmark harness (``tools/bench``) and every figure in the paper
+The perf ledger (``perfledger/``) and every figure in the paper
 reproduction assume that ``run_stream(transport, seed=s)`` is a pure
 function of its arguments.  Hot-path optimisations (heap compaction,
 bisect-based trace lookups, batched telemetry, GF fast paths) must not

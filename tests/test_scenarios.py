@@ -174,7 +174,7 @@ class TestZooCatalog:
 
 class TestZooRuns:
     def test_smoke_zoo_passes_oracles(self):
-        # the CI stage-8 gate in miniature: a few representative
+        # the CI stage-6 gate in miniature: a few representative
         # scenarios, sanitized, at smoke duration
         for name in ("tunnel_transit", "nat_churn", "rural_single_path"):
             res = run_scenario(name, seed=7, smoke=True, sanitize=True)

@@ -14,51 +14,44 @@
 #   3. the disabled-overhead gate: telemetry, spans, the sanitizer (with
 #      its state-leak guard) and the fault hook must each keep their
 #      off-mode cost bound under 5 % of the streaming hot path;
-#   4. the benchmark harness smoke run: `repro bench --smoke` (tiny
-#      deterministic workloads, 60 s budget) plus schema validation of
-#      the emitted artifact and of the committed BENCH_*.json trajectory
-#      points, and the allocation gate: the smoke run's allocs_per_op
-#      compared against the committed full-mode artifact with
-#      --no-time-gate (wall-clock isn't comparable across modes, but
-#      per-unit retention budgets are);
-#   5. the HTML report artifact: `repro report` over a short seeded
+#   4. the HTML report artifact: `repro report` over a short seeded
 #      spans-enabled run (20 s budget) into a gitignored file, checked
 #      for the sections a healthy run must produce — so the whole
 #      spans -> decomposition -> report pipeline is exercised end to end
 #      on every CI run;
-#   6. the fleet smoke: a small sanitized sharded fleet run through the
+#   5. the fleet smoke: a small sanitized sharded fleet run through the
 #      `repro fleet` CLI (30 s budget) — JSON + HTML artifacts written,
 #      then `--check-digest` re-runs the same config at a *different*
 #      shard count and demands the stored digest reproduces byte for
-#      byte, plus the fleet.* smoke benches compared against the
-#      committed BENCH_PR9.json under the allocation gate;
-#   7. the scenario zoo + chaos campaign (45 s budget): every named
+#      byte;
+#   6. the scenario zoo + chaos campaign (45 s budget): every named
 #      scenario runs sanitized at smoke duration with `--rerun`, so each
 #      scenario must pass its invariant oracles twice with byte-identical
 #      digests, then a small derandomized hypothesis campaign asserts the
 #      oracles over generated random fault plans against the full
 #      sanitized tunnel (a failure would shrink to a minimal replayable
 #      plan in the gitignored chaos-shrunk.json);
-#   8. the perf ledger (90 s budget): `perfledger`'s own tests (contract,
+#   7. the perf ledger (90 s budget): `perfledger`'s own tests (contract,
 #      layer-map totality, compare, sensitivity — tier-1 does not collect
 #      them) and `python -m perfledger run --smoke`, which runs all four
 #      benchmark workloads at 1.5 sim-s and fails on a broken digest,
 #      packet total or mechanism guard — so a change that breaks the
-#      benchmark the driver will run is caught here, not there.
+#      benchmark the pipeline runs is caught here, not there.
 #
-# Usage: tools/ci_checks.sh [--fast]
-#   --fast skips stage 3 (the overhead micro-benchmarks).
+# Usage: tools/ci_checks.sh  (no arguments; artifacts land in the repo
+# root under gitignored names)
 
 set -euo pipefail
+if [ "$#" -ne 0 ]; then
+    echo "usage: tools/ci_checks.sh (takes no arguments)" >&2
+    exit 2
+fi
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-FAST=0
-[ "${1:-}" = "--fast" ] && FAST=1
-
 echo "== stage 1: repro lint (SARIF, 10 s budget) ========================="
-SARIF_OUT="${SARIF_OUT:-lint.sarif}"
+SARIF_OUT=lint.sarif
 t0=$(date +%s%N)
 if ! python -m tools.lint --format sarif > "$SARIF_OUT"; then
     echo "lint found violations:" >&2
@@ -75,7 +68,7 @@ fi
 
 echo "== stage 2: self-tests + integration slice with REPRO_SANITIZE=1 ==="
 python -m pytest tests/test_lint.py tests/test_deep_lint.py \
-    tests/test_shard_lint.py tests/test_perf_lint.py \
+    tests/test_shard_lint.py tests/test_pragmas.py \
     tests/test_sanitizer.py tests/test_stateguard.py -q
 REPRO_SANITIZE=1 python -m pytest -q \
     tests/test_integration.py \
@@ -88,43 +81,11 @@ REPRO_SANITIZE=1 python -m pytest -q \
     tests/test_runner.py \
     tests/test_schedulers.py
 
-if [ "$FAST" = "1" ]; then
-    echo "== stage 3 skipped (--fast) ========================================="
-else
-    echo "== stage 3: disabled-overhead gate =================================="
-    python tools/check_overhead.py
-fi
+echo "== stage 3: disabled-overhead gate =================================="
+python tools/check_overhead.py
 
-echo "== stage 4: bench smoke + schema validation ========================="
-python -m pytest tests/test_bench.py -q
-SMOKE_OUT="${SMOKE_OUT:-bench-smoke.json}"
-t0=$(date +%s%N)
-python -m tools.bench --smoke --out "$SMOKE_OUT"
-t1=$(date +%s%N)
-elapsed_ms=$(( (t1 - t0) / 1000000 ))
-echo "bench smoke in ${elapsed_ms} ms -> ${SMOKE_OUT}"
-if [ "$elapsed_ms" -ge 60000 ]; then
-    echo "bench smoke blew its 60 s wall-clock budget (${elapsed_ms} ms)" >&2
-    exit 1
-fi
-python -m tools.bench --validate "$SMOKE_OUT"
-for artifact in BENCH_*.json; do
-    [ -e "$artifact" ] || continue
-    python -m tools.bench --validate "$artifact"
-done
-if [ -e BENCH_PR8.json ]; then
-    # Allocation gate: smoke retention vs the committed full-mode run.
-    # Wall-clock is not comparable across modes (--no-time-gate), and
-    # smoke's per-run fixed retention amortizes over ~10x smaller
-    # workloads, so allocs_per_op sits up to ~10x above full mode.  The
-    # 1200 % budget clears that mode ratio with margin while genuine
-    # retention leaks -- which show up as 100x-5000x jumps -- still trip.
-    python -m tools.bench --input "$SMOKE_OUT" --compare BENCH_PR8.json \
-        --no-time-gate --max-alloc-regression 1200
-fi
-
-echo "== stage 5: HTML report artifact (seeded, 20 s budget) =============="
-REPORT_OUT="${REPORT_OUT:-report-ci.html}"
+echo "== stage 4: HTML report artifact (seeded, 20 s budget) =============="
+REPORT_OUT=report-ci.html
 t0=$(date +%s%N)
 python -m repro report cellfusion --duration 3 --seed 1 --out "$REPORT_OUT"
 t1=$(date +%s%N)
@@ -142,9 +103,9 @@ for section in "Delay CDFs" "Per-path timelines" "Frame delay decomposition" \
     fi
 done
 
-echo "== stage 6: fleet smoke + shard-invariant digest (30 s budget) ======"
-FLEET_OUT="${FLEET_OUT:-fleet-ci.json}"
-FLEET_HTML="${FLEET_HTML:-fleet-ci.html}"
+echo "== stage 5: fleet smoke + shard-invariant digest (30 s budget) ======"
+FLEET_OUT=fleet-ci.json
+FLEET_HTML=fleet-ci.html
 t0=$(date +%s%N)
 python -m repro fleet --vehicles 6 --shards 2 --seed 1 --duration 1.0 \
     --sanitize --out "$FLEET_OUT" --html "$FLEET_HTML"
@@ -163,17 +124,9 @@ for section in "Fleet delay CDFs" "Fleet concurrency" "Control plane"; do
         exit 1
     fi
 done
-if [ -e BENCH_PR9.json ]; then
-    # fleet.* allocation gate vs the committed full-mode artifact (same
-    # smoke-vs-full rationale and budget as stage 4)
-    FLEET_BENCH_OUT="${FLEET_BENCH_OUT:-bench-fleet-smoke.json}"
-    python -m tools.bench fleet --smoke --out "$FLEET_BENCH_OUT"
-    python -m tools.bench --input "$FLEET_BENCH_OUT" --compare BENCH_PR9.json \
-        --no-time-gate --max-alloc-regression 1200
-fi
 
-echo "== stage 7: scenario zoo + chaos campaign (45 s budget) ============="
-CHAOS_ARTIFACT="${CHAOS_ARTIFACT:-chaos-shrunk.json}"
+echo "== stage 6: scenario zoo + chaos campaign (45 s budget) ============="
+CHAOS_ARTIFACT=chaos-shrunk.json
 t0=$(date +%s%N)
 python -m repro chaos zoo --smoke --sanitize --rerun
 python -m repro chaos campaign --examples 4 --duration 2.0 --derandomize \
@@ -186,7 +139,7 @@ if [ "$elapsed_ms" -ge 45000 ]; then
     exit 1
 fi
 
-echo "== stage 8: perfledger tests + smoke run (90 s budget) =============="
+echo "== stage 7: perfledger tests + smoke run (90 s budget) =============="
 t0=$(date +%s%N)
 python -m pytest perfledger/tests -q
 python -m perfledger run --smoke > /dev/null

@@ -4,9 +4,8 @@ Run it as ``python -m tools.lint`` from the repo root, or via the
 ``repro lint`` CLI subcommand.  Every run is the same single pass: each
 file is parsed once, the per-file rules run on it, and the whole-program
 rules (import graph, units dataflow, paper-constants registry,
-shard-safety analyses, call-graph hot-path analyses) run over the one
-:class:`~tools.lint.graph.Project` built from that parse.  ``--rule ID``
-is the only selector.  See ``docs/static-analysis.md`` for the rule
+shard-safety analyses) run over the one :class:`~tools.lint.graph.Project`
+built from that parse.  ``--rule ID`` is the only selector.  See ``docs/static-analysis.md`` for the rule
 catalogue and extension guide.
 """
 
@@ -26,7 +25,6 @@ from .engine import (
 from . import rules as _rules  # noqa: F401 -- importing registers the rule set
 from . import xrules as _xrules  # noqa: F401 -- cross-module rules register here
 from . import shard as _shard  # noqa: F401 -- shard-safety rules register here
-from . import perf as _perf  # noqa: F401 -- hot-path perf rules register here
 
 #: Default lint targets, relative to the repo root.
 DEFAULT_TARGETS = ("src/repro", "tools", "tests", "benchmarks", "examples")

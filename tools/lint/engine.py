@@ -6,7 +6,7 @@ kinds of rule from one registry:
 * a per-file :class:`Rule` sees one :class:`ModuleSource` at a time;
 * a whole-program :class:`ProjectRule` sees the
   :class:`~tools.lint.graph.Project` built over the same parse (import
-  graph, symbol table, units dataflow, static call graph) and yields
+  graph, symbol table, units dataflow) and yields
   violations anchored anywhere in the tree.
 
 The two bases exist because the two kinds take different inputs; there

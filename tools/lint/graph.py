@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "module_name_for",
@@ -34,10 +34,6 @@ __all__ = [
     "SymbolDef",
     "ModuleInfo",
     "Project",
-    "FuncNode",
-    "CallGraph",
-    "HOT_SEED_MODULE",
-    "HOT_DECORATOR",
     "strongly_connected_components",
 ]
 
@@ -129,8 +125,6 @@ class Project:
         self.modules: Dict[str, ModuleInfo] = {}
         #: dotted name -> ModuleInfo (reverse of the path map).
         self.by_name: Dict[str, ModuleInfo] = {}
-        #: Lazily-built static call graph (the hot-path rules); see call_graph().
-        self._call_graph: Optional["CallGraph"] = None
         self.edges: List[ImportEdge] = []
         #: (module, symbol) pairs referenced from *other* modules.
         self.references: Set[Tuple[str, str]] = set()
@@ -305,12 +299,6 @@ class Project:
     def is_referenced(self, module: str, symbol: str) -> bool:
         return (module, symbol) in self.references
 
-    def call_graph(self) -> "CallGraph":
-        """The static call graph + hot set, built once per Project."""
-        if self._call_graph is None:
-            self._call_graph = CallGraph(self)
-        return self._call_graph
-
     def resolve_callee(self, info: ModuleInfo, func: ast.AST) -> Optional[SymbolDef]:
         """Resolve a call target to a project-level function/class def."""
         if isinstance(func, ast.Name):
@@ -338,299 +326,6 @@ class Project:
                 if origin is not None and cut == len(resolved) - 1:
                     return origin.symbols.get(resolved[cut])
         return None
-
-
-#: Module whose top-level functions seed the hot set: the bench suites
-#: are, by construction, the packet-rate workloads the repo optimises.
-HOT_SEED_MODULE = "tools.bench.suites"
-#: Decorator name marking an explicit hot-path entry point
-#: (``repro.hotpath.hot_path``).  Matched syntactically by its final
-#: component so fixtures and vendored copies seed without imports.
-HOT_DECORATOR = "hot_path"
-
-#: A call-graph key: (dotted module name, qualname within the module).
-FuncKey = Tuple[str, str]
-
-
-@dataclass
-class FuncNode:
-    """One function or method in the static call graph.
-
-    ``qualname`` is ``"name"`` for module-level functions and
-    ``"Class.name"`` for methods.  Nested defs are not nodes of their
-    own: their bodies (and calls) belong to the enclosing top-level
-    function, which matches how their cost is paid at runtime.
-    """
-
-    module: str
-    qualname: str
-    rel: str
-    node: ast.AST = field(repr=False, default=None)
-    cls: Optional[str] = None
-
-    @property
-    def key(self) -> FuncKey:
-        return (self.module, self.qualname)
-
-    @property
-    def dotted(self) -> str:
-        return "%s.%s" % (self.module, self.qualname)
-
-
-class CallGraph:
-    """Static call graph over the whole project, with transitive hotness.
-
-    Resolution is def-site, through the structures :class:`Project`
-    already holds, and deliberately mirrors the one-hop indirection the
-    constants pass tolerates:
-
-    * plain ``f(...)`` calls via the module symbol table and
-      ``from m import f`` bindings (one assignment-alias hop allowed);
-    * ``self.m(...)`` / ``cls.m(...)`` through the enclosing class and
-      its project-internal base classes;
-    * ``ClassName.m(...)`` and ``alias.f(...)`` through imported names
-      and module aliases;
-    * constructor calls ``Cls(...)`` edge to ``Cls.__init__``;
-    * one-hop type inference: ``x = Cls(...); x.m()`` and
-      ``self.attr = Cls(...); self.attr.m()`` resolve to ``Cls.m``;
-    * callback escapes: a function/method *passed as an argument* from a
-      hot call site is treated as called (timer and protocol callbacks
-      run at packet rate even though the loop invokes them dynamically).
-
-    Unresolvable targets (stdlib, dynamic dispatch) drop off the graph —
-    hotness is a reachability under-approximation, never a guess.
-    """
-
-    def __init__(self, project: "Project"):
-        self.project = project
-        #: key -> FuncNode, insertion-sorted by (rel, lineno).
-        self.functions: Dict[FuncKey, FuncNode] = {}
-        #: caller key -> callee keys.
-        self.edges: Dict[FuncKey, Set[FuncKey]] = {}
-        #: hot key -> human-readable provenance ("bench entry point ...",
-        #: "@hot_path", "called from <dotted>").
-        self.hot: Dict[FuncKey, str] = {}
-        #: class key (module, ClassName) -> project-internal base keys.
-        self._bases: Dict[FuncKey, List[FuncKey]] = {}
-        #: class key -> {attr -> class key} from ``self.attr = Cls(...)``.
-        self._attr_types: Dict[FuncKey, Dict[str, FuncKey]] = {}
-        self._collect()
-        self._link()
-        self._seed_and_propagate()
-
-    # -- node collection -------------------------------------------------------
-
-    def _collect(self) -> None:
-        for rel, info in sorted(self.project.modules.items()):
-            for node in info.tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    fn = FuncNode(info.name, node.name, rel, node)
-                    self.functions[fn.key] = fn
-                elif isinstance(node, ast.ClassDef):
-                    clskey = (info.name, node.name)
-                    self._bases[clskey] = [
-                        base for base in
-                        (self._class_of_expr(info, b) for b in node.bases)
-                        if base is not None]
-                    for item in node.body:
-                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                            fn = FuncNode(info.name, "%s.%s" % (node.name, item.name),
-                                          rel, item, node.name)
-                            self.functions[fn.key] = fn
-        # self-attr types need every method collected first
-        for fn in self.functions.values():
-            if fn.cls is None:
-                continue
-            info = self.project.by_name[fn.module]
-            clskey = (fn.module, fn.cls)
-            slots = self._attr_types.setdefault(clskey, {})
-            for node in ast.walk(fn.node):
-                if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                    continue
-                tgt = node.targets[0]
-                if (isinstance(tgt, ast.Attribute) and isinstance(tgt.value, ast.Name)
-                        and tgt.value.id == "self" and isinstance(node.value, ast.Call)):
-                    made = self._class_of_expr(info, node.value.func)
-                    if made is not None:
-                        slots.setdefault(tgt.attr, made)
-
-    def _class_of_expr(self, info: ModuleInfo, expr: ast.AST) -> Optional[FuncKey]:
-        """Resolve an expression naming a project class to its key."""
-        sd = self.project.resolve_callee(info, expr)
-        if sd is not None and sd.kind == "class":
-            return (sd.module, sd.name)
-        return None
-
-    # -- edge resolution -------------------------------------------------------
-
-    def _link(self) -> None:
-        for key, fn in self.functions.items():
-            info = self.project.by_name[fn.module]
-            out = self.edges.setdefault(key, set())
-            var_types = self._infer_locals(info, fn)
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = self._resolve_call(info, fn, node.func, var_types)
-                if callee is not None:
-                    out.add(callee)
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    cb = self._resolve_callback(info, fn, arg)
-                    if cb is not None:
-                        out.add(cb)
-
-    def _infer_locals(self, info: ModuleInfo, fn: FuncNode) -> Dict[str, FuncKey]:
-        """``x = Cls(...)`` bindings whose type is unambiguous within fn."""
-        seen: Dict[str, Optional[FuncKey]] = {}
-        for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            name = node.targets[0].id
-            made = (self._class_of_expr(info, node.value.func)
-                    if isinstance(node.value, ast.Call) else None)
-            if name in seen and seen[name] != made:
-                seen[name] = None  # conflicting rebind: refuse to guess
-            else:
-                seen[name] = made
-        return {name: key for name, key in seen.items() if key is not None}
-
-    def _resolve_call(self, info: ModuleInfo, fn: FuncNode, func: ast.AST,
-                      var_types: Dict[str, FuncKey]) -> Optional[FuncKey]:
-        if isinstance(func, ast.Name):
-            return self._resolve_name_call(info, func.id, hops=1)
-        if not isinstance(func, ast.Attribute):
-            return None
-        chain = _dotted_chain(func)
-        if chain is not None and len(chain) >= 2:
-            head = chain[0]
-            if head in ("self", "cls") and fn.cls is not None:
-                clskey = (fn.module, fn.cls)
-                if len(chain) == 2:
-                    return self._resolve_method(clskey, chain[1])
-                if len(chain) == 3:
-                    attr_cls = self._attr_types.get(clskey, {}).get(chain[1])
-                    if attr_cls is not None:
-                        return self._resolve_method(attr_cls, chain[2])
-                return None
-            if head in var_types and len(chain) == 2:
-                return self._resolve_method(var_types[head], chain[1])
-            if len(chain) == 2:
-                # ClassName.method through a local or imported class name
-                base = self._class_of_name(info, head)
-                if base is not None:
-                    return self._resolve_method(base, chain[1])
-        sd = self.project.resolve_callee(info, func)
-        return self._key_for_symbol(sd)
-
-    def _resolve_name_call(self, info: ModuleInfo, name: str, hops: int) -> Optional[FuncKey]:
-        sd = info.symbols.get(name)
-        if sd is None and name in info.from_imports:
-            source, orig = info.from_imports[name]
-            origin = self.project.by_name.get(source)
-            sd = origin.symbols.get(orig) if origin is not None else None
-        if sd is None:
-            return None
-        if sd.kind == "assign" and hops > 0:
-            # one-hop alias: ``fast_pack = _pack_impl``
-            node = sd.node
-            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
-            if isinstance(value, ast.Name):
-                origin_info = self.project.by_name.get(sd.module)
-                if origin_info is not None:
-                    return self._resolve_name_call(origin_info, value.id, hops - 1)
-            return None
-        return self._key_for_symbol(sd)
-
-    def _class_of_name(self, info: ModuleInfo, name: str) -> Optional[FuncKey]:
-        sd = info.symbols.get(name)
-        if sd is None and name in info.from_imports:
-            source, orig = info.from_imports[name]
-            origin = self.project.by_name.get(source)
-            sd = origin.symbols.get(orig) if origin is not None else None
-        if sd is not None and sd.kind == "class":
-            return (sd.module, sd.name)
-        return None
-
-    def _key_for_symbol(self, sd: Optional[SymbolDef]) -> Optional[FuncKey]:
-        if sd is None:
-            return None
-        if sd.kind == "function":
-            key = (sd.module, sd.name)
-            return key if key in self.functions else None
-        if sd.kind == "class":
-            return self._resolve_method((sd.module, sd.name), "__init__")
-        return None
-
-    def _resolve_method(self, clskey: FuncKey, method: str) -> Optional[FuncKey]:
-        """Look up a method on a class or its project-internal bases."""
-        queue, seen = [clskey], set()
-        while queue:
-            cur = queue.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            key = (cur[0], "%s.%s" % (cur[1], method))
-            if key in self.functions:
-                return key
-            queue.extend(self._bases.get(cur, ()))
-        return None
-
-    def _resolve_callback(self, info: ModuleInfo, fn: FuncNode,
-                          arg: ast.AST) -> Optional[FuncKey]:
-        """A function passed by reference from a call site: treated as called."""
-        if isinstance(arg, ast.Name):
-            return self._resolve_name_call(info, arg.id, hops=0)
-        if isinstance(arg, ast.Attribute):
-            chain = _dotted_chain(arg)
-            if (chain is not None and len(chain) == 2 and chain[0] == "self"
-                    and fn.cls is not None):
-                return self._resolve_method((fn.module, fn.cls), chain[1])
-        return None
-
-    # -- hotness ---------------------------------------------------------------
-
-    def _seed_and_propagate(self) -> None:
-        queue: List[FuncKey] = []
-        for key, fn in self.functions.items():
-            if fn.module == HOT_SEED_MODULE:
-                self.hot[key] = "bench entry point %s" % fn.dotted
-                queue.append(key)
-            elif self._has_hot_decorator(fn.node):
-                self.hot[key] = "@%s" % HOT_DECORATOR
-                queue.append(key)
-        while queue:
-            caller = queue.pop(0)
-            for callee in sorted(self.edges.get(caller, ())):
-                if callee not in self.hot:
-                    self.hot[callee] = "called from %s" % self.functions[caller].dotted
-                    queue.append(callee)
-
-    @staticmethod
-    def _has_hot_decorator(node: ast.AST) -> bool:
-        for deco in getattr(node, "decorator_list", ()):
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            name = None
-            if isinstance(target, ast.Name):
-                name = target.id
-            elif isinstance(target, ast.Attribute):
-                name = target.attr
-            if name == HOT_DECORATOR:
-                return True
-        return False
-
-    # -- queries ---------------------------------------------------------------
-
-    def is_hot(self, key: FuncKey) -> bool:
-        return key in self.hot
-
-    def hot_reason(self, key: FuncKey) -> str:
-        return self.hot.get(key, "")
-
-    def hot_functions(self) -> List[FuncNode]:
-        """Hot FuncNodes sorted by (rel, line) for deterministic reports."""
-        nodes = [self.functions[key] for key in self.hot]
-        return sorted(nodes, key=lambda fn: (fn.rel, fn.node.lineno, fn.qualname))
 
 
 def _dotted_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
