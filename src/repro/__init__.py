@@ -24,9 +24,11 @@ Package layout:
 * :mod:`repro.emulation` — the trace-driven 4-path emulator and the
   synthetic cellular drive-trace generator.
 * :mod:`repro.video` — video workload and QoE analysis.
-* :mod:`repro.cpe` / :mod:`repro.cloud` — the system around the transport:
-  in-vehicle CPE (tun, tunnel-client, modems) and the cloud-native
-  back-end (proxies, SNAT, controller).
+* :mod:`repro.cloud` — the cloud-native control plane around the
+  transport (controller placement, proxy autoscaling, SNAT, PoP
+  migration).
+* :mod:`repro.fleet` — the §8.2 deployment: many vehicles × PoPs under
+  the autoscaler, sharded.
 * :mod:`repro.experiments` — one-call harnesses per paper figure.
 """
 

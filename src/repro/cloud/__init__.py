@@ -1,11 +1,10 @@
 """CellFusion's cloud-native back-end: controller, proxies, PoPs (§6)."""
 
 from .autoscaler import AutoscalerPolicy, ProxyAutoscaler, ScalingDecision
-from .controller import AuthError, Controller, TunnelConfig
+from .controller import Controller
 from .migration import MigrationEvent, MigrationManager, drive_with_migration
-from .nat import NatError, SnatTable, TunAddressPool
+from .nat import NatError, SnatTable
 from .pop import PopNode, default_pop_grid
-from .proxy import ProxyServer, ProxyStats
 
 __all__ = [
     "AutoscalerPolicy",
@@ -14,14 +13,9 @@ __all__ = [
     "MigrationEvent",
     "MigrationManager",
     "drive_with_migration",
-    "AuthError",
     "Controller",
-    "TunnelConfig",
     "NatError",
     "SnatTable",
-    "TunAddressPool",
     "PopNode",
     "default_pop_grid",
-    "ProxyServer",
-    "ProxyStats",
 ]

@@ -1,11 +1,10 @@
 """The CellFusion controller: control and management plane (§6.1).
 
-Five responsibilities, per the paper: (1) CPE authentication, (2)
-configuration management for CPEs and proxies, (3) high availability —
-monitoring proxy health and failing over, (4) orchestration — pointing a
-CPE at candidate servers by availability and load (the CPE then measures
-delay and picks the minimum), and (§6.2) allocating each CPE its unique
-private tun address for the double-NAT scheme.
+The paper lists five responsibilities; three are modelled here: (1) CPE
+authentication, (3) high availability — monitoring proxy health and
+failing over, and (4) orchestration — pointing a CPE at candidate servers
+by availability and load (the CPE then measures delay and picks the
+minimum).
 """
 
 from __future__ import annotations
@@ -15,13 +14,10 @@ import hmac
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .nat import TunAddressPool
 from .pop import PopNode
 
 __all__ = [
     "HEARTBEAT_TIMEOUT",
-    "AuthError",
-    "TunnelConfig",
     "Controller",
 ]
 
@@ -31,25 +27,6 @@ HEARTBEAT_TIMEOUT = 10.0
 
 class AuthError(Exception):
     """Device authentication failure."""
-
-
-@dataclass
-class TunnelConfig:
-    """Parameters a CPE and its proxy need before the tunnel comes up.
-
-    Mirrors the knobs of §4.4/§4.5 plus the §6.2 address allocation.
-    """
-
-    device_id: str
-    tun_address: str
-    range_max_packets: int = 10
-    range_max_span: float = 0.060
-    t_expire: float = 0.700
-    app_loss_threshold: float = 0.120
-    rho: float = 1.1
-    extra_coded_packets: int = 3
-    congestion_controller: str = "bbr"
-    scheduler: str = "minRTT"
 
 
 @dataclass
@@ -67,7 +44,6 @@ class Controller:
         self._key = secret_key
         self._devices: Dict[str, DeviceRecord] = {}
         self._pops: Dict[str, PopNode] = {}
-        self._addresses = TunAddressPool()
         self.failovers = 0
 
     # -- device lifecycle ------------------------------------------------------
@@ -84,7 +60,6 @@ class Controller:
         record = self._devices.get(device_id)
         if record is not None:
             record.revoked = True
-            self._addresses.release(device_id)
 
     def authenticate(self, device_id: str, token: str) -> bool:
         """Only legal users may access the service (§6.1 function 1)."""
@@ -96,14 +71,6 @@ class Controller:
         except ValueError:
             return False
         return hmac.compare_digest(record.secret, presented)
-
-    # -- configuration ---------------------------------------------------------
-
-    def get_config(self, device_id: str, token: str) -> TunnelConfig:
-        """Hand a CPE its tunnel configuration (§6.1 function 2)."""
-        if not self.authenticate(device_id, token):
-            raise AuthError("authentication failed for %s" % device_id)
-        return TunnelConfig(device_id=device_id, tun_address=self._addresses.allocate(device_id))
 
     # -- proxy fleet / health ----------------------------------------------------
 

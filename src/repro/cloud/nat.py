@@ -4,9 +4,7 @@ CellFusion applies NAT twice: once at the CPE's tun interface (every LAN
 flow of a vehicle is rewritten to the vehicle's controller-allocated
 private address) and once at the proxy's public interface (so return
 traffic from the cloud app routes back to the proxy).  This module
-implements the generic port-allocating SNAT used at both places, plus the
-address-pool allocator the controller uses to hand out per-CPE tun
-addresses.
+implements the generic port-allocating SNAT used at both places.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import Dict, Optional, Tuple
 __all__ = [
     "NatError",
     "SnatTable",
-    "TunAddressPool",
 ]
 
 FlowKey = Tuple[int, str, int]  # (proto, ip, port)
@@ -128,32 +125,3 @@ class SnatTable:
         self._last_used.clear()
         self.flushes += 1
         return n
-
-
-class TunAddressPool:
-    """Controller-side allocator of unique per-CPE tun addresses (§6.2)."""
-
-    def __init__(self, prefix: str = "10.64", size: int = 65000):
-        self.prefix = prefix
-        self.size = size
-        self._by_device: Dict[str, str] = {}
-        self._used = 0
-
-    def allocate(self, device_id: str) -> str:
-        """Idempotently allocate one private address per device."""
-        addr = self._by_device.get(device_id)
-        if addr is not None:
-            return addr
-        if self._used >= self.size:
-            raise NatError("tun address pool exhausted")
-        idx = self._used + 2  # skip .0/.1
-        self._used += 1
-        addr = "%s.%d.%d" % (self.prefix, idx // 250, idx % 250)
-        self._by_device[device_id] = addr
-        return addr
-
-    def lookup(self, device_id: str) -> Optional[str]:
-        return self._by_device.get(device_id)
-
-    def release(self, device_id: str) -> None:
-        self._by_device.pop(device_id, None)

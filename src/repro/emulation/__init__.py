@@ -1,7 +1,6 @@
 """Trace-driven multipath emulator (mpshell-style) and cellular synthesis."""
 
 from .cellular import (
-    CellularTrace,
     PROFILE_5G,
     PROFILE_LEO_SAT,
     PROFILE_LTE,
@@ -28,7 +27,6 @@ from .trace import (
 )
 
 __all__ = [
-    "CellularTrace",
     "PROFILE_5G",
     "PROFILE_LEO_SAT",
     "PROFILE_LTE",

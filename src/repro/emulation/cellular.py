@@ -40,7 +40,6 @@ __all__ = [
     "PROFILE_LTE",
     "PROFILE_LEO_SAT",
     "profile_for",
-    "CellularTrace",
     "generate_cellular_trace",
     "generate_fleet_traces",
     "generate_rural_traces",

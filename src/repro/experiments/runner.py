@@ -276,7 +276,7 @@ def run_stream(
 
     ``spans`` arms causal span tracing on top of telemetry (implying
     ``telemetry=True`` when it was off): every frame, packet,
-    transmission, coding range, decode, and playout event becomes a
+    transmission, coding range, and decode event becomes a
     sim-clock span with parent/cause links, readable off
     ``result.telemetry.spans`` (export with
     :meth:`~repro.obs.SpanRecorder.export_jsonl` /

@@ -26,10 +26,9 @@ span                  interval
 ``range``             recovery range formed -> one-shot plan executed
 ``encode``            the XNC block encode inside a recovery plan
 ``decode``            first coded packet of a range seen -> first decode
-``handshake``         QUIC connect -> ESTABLISHED
 ``fault``             injected fault applied -> lifted (chaos layer)
 ``health``            instant: path-health state transition
-``playout``           frame complete -> displayed at the playout slot
+``drop``              instant: emulator link drop
 ====================  ========================================================
 
 Everything is keyed on the *simulation* clock and span ids are assigned
@@ -51,10 +50,8 @@ __all__ = [
     "SPAN_RANGE",
     "SPAN_ENCODE",
     "SPAN_DECODE",
-    "SPAN_HANDSHAKE",
     "SPAN_FAULT",
     "SPAN_HEALTH",
-    "SPAN_PLAYOUT",
     "SPAN_DROP",
     "SPAN_NAMES",
     "Span",
@@ -71,16 +68,13 @@ SPAN_TX = "tx"                #: one transmission on one path -> ack / loss
 SPAN_RANGE = "range"          #: recovery range formed -> plan executed
 SPAN_ENCODE = "encode"        #: XNC block encode work inside a plan
 SPAN_DECODE = "decode"        #: coded range first seen -> first decode
-SPAN_HANDSHAKE = "handshake"  #: QUIC connect -> ESTABLISHED
 SPAN_FAULT = "fault"          #: injected fault applied -> lifted
 SPAN_HEALTH = "health"        #: instant path-health transition marker
-SPAN_PLAYOUT = "playout"      #: frame complete -> playout slot display
 SPAN_DROP = "drop"            #: instant emulator link drop marker
 
 SPAN_NAMES = (
     SPAN_FRAME, SPAN_PACKET, SPAN_TX, SPAN_RANGE, SPAN_ENCODE,
-    SPAN_DECODE, SPAN_HANDSHAKE, SPAN_FAULT, SPAN_HEALTH, SPAN_PLAYOUT,
-    SPAN_DROP,
+    SPAN_DECODE, SPAN_FAULT, SPAN_HEALTH, SPAN_DROP,
 )
 
 #: Chrome trace-event track (tid) per span name; path-scoped spans use
@@ -92,10 +86,8 @@ _NAME_TRACKS = {
     SPAN_RANGE: 3,
     SPAN_ENCODE: 3,
     SPAN_DECODE: 4,
-    SPAN_HANDSHAKE: 5,
     SPAN_FAULT: 6,
     SPAN_HEALTH: 6,
-    SPAN_PLAYOUT: 7,
     SPAN_DROP: 8,
 }
 _PATH_TRACK_BASE = 10

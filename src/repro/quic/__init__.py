@@ -1,13 +1,6 @@
 """Simulated QUIC substrate: varints, RTT, ACKs, packets, congestion control."""
 
 from .ack import AckRangeTracker
-from .connection import (
-    ConnectionIdManager,
-    HandshakeError,
-    QuicConnection,
-    TransportParameters,
-    establish_tunnel_connection,
-)
 from .packet import AckFrame, PingFrame, QuicPacket, TUNNEL_OVERHEAD, TUN_MTU
 from .rtt import RttEstimator
 from .varint import decode_varint, encode_varint, varint_size
@@ -15,11 +8,6 @@ from .wire import ParsedPacket, WireError, parse_packet, serialize_packet
 
 __all__ = [
     "AckRangeTracker",
-    "ConnectionIdManager",
-    "HandshakeError",
-    "QuicConnection",
-    "TransportParameters",
-    "establish_tunnel_connection",
     "AckFrame",
     "PingFrame",
     "QuicPacket",

@@ -7,7 +7,7 @@ recovery budget ``n' = n + 3`` with every path strictly below the
 recovered | expired with no re-recovery (§4.4.3, §4.5.2), full
 GF(2^8) coefficient-matrix rank at decode (Theorem 4.1), per-path QUIC
 packet-number monotonicity, congestion-window send discipline, and
-event-loop timer progress (the PR 1 idle-spin bug class).
+legal path-health transitions.
 
 This module is the checking layer.  It follows the telemetry
 null-singleton pattern exactly: endpoints hold either the shared
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, Optional, Set
 
 __all__ = [
     "SanitizerViolation",
@@ -44,11 +44,6 @@ __all__ = [
 #: Truthy spellings accepted for the env hook.
 _ENV_VAR = "REPRO_SANITIZE"
 _FALSY = ("", "0", "false", "no", "off")
-
-#: Consecutive timer fires allowed at one identical sim timestamp before
-#: the loop is declared wedged (the idle-timer re-arm spin fixed in PR 1
-#: fired unboundedly at a single float timestamp).
-TIMER_SPIN_LIMIT = 64
 
 #: Bound on remembered recovered/expired packet IDs (IDs are monotone, so
 #: pruning the oldest cannot mask a genuine re-recovery of recent video).
@@ -122,13 +117,7 @@ class NullSanitizer:
     def check_decode_complete(self, range_decoder):
         pass
 
-    def check_state_transition(self, old, new, allowed):
-        pass
-
     def check_path_transition(self, path_id, old, new, allowed):
-        pass
-
-    def check_timer_progress(self, key, now):
         pass
 
 
@@ -139,9 +128,9 @@ NULL_SANITIZER = NullSanitizer()
 class ProtocolSanitizer:
     """Live invariant checker for one endpoint (or one shared run).
 
-    State (last packet numbers, recovered-range memory, timer progress)
-    is per-instance; endpoints construct their own so concurrent tunnels
-    in one process cannot cross-contaminate.
+    State (last packet numbers, recovered-range memory) is per-instance;
+    endpoints construct their own so concurrent tunnels in one process
+    cannot cross-contaminate.
     """
 
     enabled = True
@@ -153,7 +142,6 @@ class ProtocolSanitizer:
         self._last_pn: Dict[int, int] = {}
         self._recovered_ids: Set[int] = set()
         self._recovered_order: Deque[int] = deque()
-        self._timer_fires: Dict[object, Tuple[float, int]] = {}
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -367,16 +355,6 @@ class ProtocolSanitizer:
                            start=range_decoder.start_id, col=col,
                            vec=[int(v) for v in vec])
 
-    # -- connection state machine (quic/connection.py) -----------------------------
-
-    def check_state_transition(self, old: str, new: str, allowed) -> None:
-        """Connection lifecycle edges must be in the allowed set."""
-        self._tick()
-        if (old, new) not in allowed:
-            self._fail("conn-transition",
-                       "illegal connection state transition %s -> %s" % (old, new),
-                       old=old, new=new)
-
     # -- path health machine (multipath/path.py) -----------------------------------
 
     def check_path_transition(self, path_id: int, old: str, new: str, allowed) -> None:
@@ -390,25 +368,6 @@ class ProtocolSanitizer:
                        "illegal path-health transition %s -> %s on path %d"
                        % (old, new, path_id),
                        path=path_id, old=old, new=new)
-
-    # -- timers (quic/connection.py, any repeating callback) -----------------------
-
-    def check_timer_progress(self, key, now: float) -> None:
-        """A repeating timer re-firing at one identical sim timestamp more
-        than :data:`TIMER_SPIN_LIMIT` times is a wedged event loop (the
-        PR 1 idle-timer re-arm bug class)."""
-        self._tick()
-        last, streak = self._timer_fires.get(key, (None, 0))
-        if last is not None and now == last:
-            streak += 1
-            if streak > TIMER_SPIN_LIMIT:
-                self._fail("timer-progress",
-                           "timer %r fired %d times at t=%r without the "
-                           "clock advancing" % (key, streak, now),
-                           timer=str(key), fires=streak, now=now)
-        else:
-            streak = 0
-        self._timer_fires[key] = (now, streak)
 
     # -- reporting -------------------------------------------------------------------
 

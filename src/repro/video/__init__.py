@@ -1,16 +1,11 @@
 """Video workload: synthetic source, receiver, QoE analysis (Appx. C)."""
 
-from .playout import PlayoutPolicy, PlayoutReport, minimum_clean_playout_delay, simulate_playout
 from .qoe import QoeReport, STALL_THRESHOLD, analyze_qoe
 from .receiver import FrameRecord, VideoReceiver
 from .rtp import RtpPacket, RtpPacketizer, sniff_frame_border, sniff_frame_id
 from .source import VideoConfig, VideoPacket, VideoSource, build_packet
 
 __all__ = [
-    "PlayoutPolicy",
-    "PlayoutReport",
-    "minimum_clean_playout_delay",
-    "simulate_playout",
     "QoeReport",
     "STALL_THRESHOLD",
     "analyze_qoe",

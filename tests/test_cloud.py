@@ -1,12 +1,10 @@
-"""Cloud back-end: controller, NAT tables, PoPs, multi-tenant proxy."""
+"""Cloud back-end: controller, NAT tables, PoPs."""
 
 import pytest
 
-from repro.cloud.controller import AuthError, Controller, HEARTBEAT_TIMEOUT
-from repro.cloud.nat import NatError, SnatTable, TunAddressPool
+from repro.cloud.controller import Controller, HEARTBEAT_TIMEOUT
+from repro.cloud.nat import NatError, SnatTable
 from repro.cloud.pop import PopNode, default_pop_grid
-from repro.cloud.proxy import ProxyServer
-from repro.netstack.ip import build_udp, parse_udp
 
 
 class TestSnatTable:
@@ -45,31 +43,6 @@ class TestSnatTable:
         snat.translate(17, "b", 2)
         with pytest.raises(NatError):
             snat.translate(17, "c", 3)
-
-
-class TestTunAddressPool:
-    def test_idempotent_per_device(self):
-        pool = TunAddressPool()
-        assert pool.allocate("veh-1") == pool.allocate("veh-1")
-
-    def test_unique_across_devices(self):
-        pool = TunAddressPool()
-        addrs = {pool.allocate("veh-%d" % i) for i in range(100)}
-        assert len(addrs) == 100
-
-    def test_release_and_lookup(self):
-        pool = TunAddressPool()
-        pool.allocate("veh-1")
-        assert pool.lookup("veh-1") is not None
-        pool.release("veh-1")
-        assert pool.lookup("veh-1") is None
-
-    def test_exhaustion(self):
-        pool = TunAddressPool(size=2)
-        pool.allocate("a")
-        pool.allocate("b")
-        with pytest.raises(NatError):
-            pool.allocate("c")
 
 
 class TestPopNode:
@@ -127,22 +100,6 @@ class TestController:
         c.revoke_device("veh-1")
         assert not c.authenticate("veh-1", token)
 
-    def test_config_requires_auth(self):
-        c = self._controller()
-        c.register_device("veh-1")
-        with pytest.raises(AuthError):
-            c.get_config("veh-1", "00" * 32)
-
-    def test_config_paper_defaults_and_unique_address(self):
-        c = self._controller()
-        t1 = c.register_device("veh-1")
-        t2 = c.register_device("veh-2")
-        cfg1 = c.get_config("veh-1", t1)
-        cfg2 = c.get_config("veh-2", t2)
-        assert cfg1.range_max_packets == 10
-        assert cfg1.t_expire == pytest.approx(0.7)
-        assert cfg1.tun_address != cfg2.tun_address
-
     def test_candidates_sorted_by_load(self):
         c = self._controller()
         token = c.register_device("veh-1")
@@ -177,91 +134,6 @@ class TestController:
         chosen = c.failover("veh-1", token, now=2.0)
         assert chosen.pop_id == "pop0"
         assert c.failovers == 0
-
-
-class TestProxyServer:
-    def _proxy(self):
-        pop = PopNode("pop0", "r", (0.0, 0.0))
-        cloud_inbox = []
-        vehicle_inbox = []
-        proxy = ProxyServer(
-            pop,
-            "203.0.113.7",
-            forward_to_cloud=cloud_inbox.append,
-            send_to_vehicle=lambda cid, pkt: vehicle_inbox.append((cid, pkt)),
-        )
-        return proxy, cloud_inbox, vehicle_inbox
-
-    def test_uplink_snat(self):
-        proxy, cloud, _veh = self._proxy()
-        pkt = build_udp("10.64.0.2", 5004, "20.0.0.9", 8554, b"video")
-        out = proxy.process_uplink(cid=111, ip_bytes=pkt)
-        assert out is not None
-        ip, sport, dport, payload = parse_udp(out)
-        assert ip.src == "203.0.113.7"
-        assert dport == 8554
-        assert payload == b"video"
-        assert cloud == [out]
-        assert proxy.tenant_count == 1
-
-    def test_return_path_finds_cid(self):
-        proxy, _cloud, veh = self._proxy()
-        pkt = build_udp("10.64.0.2", 5004, "20.0.0.9", 8554, b"video")
-        out = proxy.process_uplink(cid=42, ip_bytes=pkt)
-        _ip, pub_port, _dport, _p = parse_udp(out)
-        ret = build_udp("20.0.0.9", 8554, "203.0.113.7", pub_port, b"reply")
-        result = proxy.process_return(ret)
-        assert result is not None
-        cid, restored = result
-        assert cid == 42
-        ip, sport, dport, payload = parse_udp(restored)
-        assert ip.dst == "10.64.0.2"
-        assert dport == 5004
-        assert payload == b"reply"
-        assert veh == [(42, restored)]
-
-    def test_multi_tenant_isolation(self):
-        """Two vehicles through one proxy: return traffic lands correctly."""
-        proxy, _cloud, veh = self._proxy()
-        out_a = proxy.process_uplink(1, build_udp("10.64.0.2", 5004, "20.0.0.9", 8554, b"a"))
-        out_b = proxy.process_uplink(2, build_udp("10.64.0.3", 5004, "20.0.0.9", 8554, b"b"))
-        assert proxy.tenant_count == 2
-        _ip, port_a, _d, _ = parse_udp(out_a)
-        _ip, port_b, _d, _ = parse_udp(out_b)
-        assert port_a != port_b
-        proxy.process_return(build_udp("20.0.0.9", 8554, "203.0.113.7", port_a, b"ra"))
-        proxy.process_return(build_udp("20.0.0.9", 8554, "203.0.113.7", port_b, b"rb"))
-        cids = [cid for cid, _pkt in veh]
-        assert cids == [1, 2]
-
-    def test_cid_rotation_relearned(self):
-        proxy, _c, _v = self._proxy()
-        pkt = build_udp("10.64.0.2", 5004, "20.0.0.9", 8554, b"x")
-        proxy.process_uplink(1, pkt)
-        proxy.process_uplink(9, pkt)  # same tenant address, new CID
-        assert proxy.tenant_count == 1
-        _ip, port, _d, _ = parse_udp(proxy.process_uplink(9, pkt))
-        cid, _restored = proxy.process_return(
-            build_udp("20.0.0.9", 8554, "203.0.113.7", port, b"r")
-        )
-        assert cid == 9
-
-    def test_return_to_wrong_address_dropped(self):
-        proxy, _c, _v = self._proxy()
-        ret = build_udp("20.0.0.9", 8554, "198.51.100.1", 20000, b"stray")
-        assert proxy.process_return(ret) is None
-        assert proxy.stats.unknown_tenant_drops == 1
-
-    def test_garbage_uplink_counted(self):
-        proxy, _c, _v = self._proxy()
-        assert proxy.process_uplink(1, b"junk") is None
-        assert proxy.stats.parse_errors == 1
-
-    def test_remove_tenant(self):
-        proxy, _c, _v = self._proxy()
-        proxy.process_uplink(5, build_udp("10.64.0.2", 5004, "20.0.0.9", 8554, b"x"))
-        proxy.remove_tenant(5)
-        assert proxy.tenant_count == 0
 
 
 class TestControllerPlacement:

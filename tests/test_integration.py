@@ -1,16 +1,11 @@
 """Cross-module integration: the paper's qualitative claims, end to end."""
 
-import numpy as np
 import pytest
 
 from repro.cloud.controller import Controller
-from repro.cloud.pop import PopNode
-from repro.cloud.proxy import ProxyServer
-from repro.cpe.box import CpeBox
-from repro.cpe.modem import default_modem_bank
+from repro.cloud.pop import default_pop_grid
 from repro.emulation.cellular import generate_fleet_traces
 from repro.experiments.runner import run_stream
-from repro.netstack.ip import build_udp, parse_udp
 from repro.video.source import VideoConfig
 
 DURATION = 10.0
@@ -59,82 +54,19 @@ class TestSystemClaims:
         assert xnc.redundancy_ratio < plb.redundancy_ratio
 
 
-class TestTransparentTunnelChain:
-    """§3.2's full packet walk: LAN app -> CPE (tun+SNAT) -> proxy
-    (SNAT+CID map) -> cloud app, and all the way back."""
-
-    def test_full_round_trip(self):
-        controller = Controller()
-        controller.register_pop(PopNode("pop0", "r", (0.0, 0.0)))
-        controller.heartbeat("pop0", 0, now=0.0)
-        cpe = CpeBox("veh-7", modems=default_modem_bank(duration=5.0, seed=0))
-        cpe.provision(controller)
-        pop = cpe.connect(controller)
-
-        cloud_app_inbox = []
-        to_vehicle = []
-        proxy = ProxyServer(
-            pop, "203.0.113.50",
-            forward_to_cloud=cloud_app_inbox.append,
-            send_to_vehicle=lambda cid, pkt: to_vehicle.append(pkt),
-        )
-        # wire CPE capture -> (conceptually through XNC tunnel) -> proxy
-        cid = 1234
-        cpe.set_tunnel_sink(lambda ip_bytes: proxy.process_uplink(cid, ip_bytes))
-
-        # vehicle app sends an RTSP-ish UDP packet
-        lan_pkt = build_udp("192.168.1.30", 5004, "20.0.0.9", 8554, b"DESCRIBE rtsp://...")
-        cpe.send_lan_packet(lan_pkt)
-
-        assert len(cloud_app_inbox) == 1
-        ip, sport, dport, payload = parse_udp(cloud_app_inbox[0])
-        assert ip.src == "203.0.113.50"  # proxy public address
-        assert payload == b"DESCRIBE rtsp://..."
-
-        # cloud app replies to what it saw
-        reply = build_udp("20.0.0.9", 8554, ip.src, sport, b"200 OK")
-        proxy.process_return(reply)
-        assert len(to_vehicle) == 1
-
-        # tunnel downlink -> CPE un-NAT -> LAN delivery
-        delivered = cpe.receive_tunnel_packet(to_vehicle[0])
-        assert delivered is not None
-        ip2, s2, d2, payload2 = parse_udp(delivered.encode())
-        assert ip2.dst == "192.168.1.30"
-        assert d2 == 5004
-        assert payload2 == b"200 OK"
-
-    def test_payload_never_modified(self):
-        """Transparency: the tunnel may rewrite addresses, never payloads."""
-        controller = Controller()
-        controller.register_pop(PopNode("pop0", "r", (0.0, 0.0)))
-        controller.heartbeat("pop0", 0, now=0.0)
-        cpe = CpeBox("veh-8", modems=default_modem_bank(duration=5.0, seed=0))
-        cpe.provision(controller)
-        pop = cpe.connect(controller)
-        inbox = []
-        proxy = ProxyServer(pop, "203.0.113.51", forward_to_cloud=inbox.append)
-        cpe.set_tunnel_sink(lambda b: proxy.process_uplink(1, b))
-        secret = bytes(range(256))  # end-to-end encrypted content, say
-        cpe.send_lan_packet(build_udp("192.168.1.2", 40000, "20.0.0.9", 443, secret))
-        _ip, _s, _d, payload = parse_udp(inbox[0])
-        assert payload == secret
-
-
 class TestDeploymentScale:
     def test_many_vehicles_one_controller(self):
         controller = Controller()
-        from repro.cloud.pop import default_pop_grid
         for pop in default_pop_grid():
             controller.register_pop(pop)
             controller.heartbeat(pop.pop_id, 0, now=0.0)
         # the paper's fleet: 100 vehicles
         chosen = []
         for i in range(100):
-            cpe = CpeBox("veh-%03d" % i, modems=[])
-            cpe.provision(controller)
-            cpe.vehicle_location = ((i * 37) % 800, (i * 13) % 120)
-            chosen.append(cpe.connect(controller).pop_id)
+            device_id = "veh-%03d" % i
+            token = controller.register_device(device_id)
+            location = ((i * 37) % 800, (i * 13) % 120)
+            chosen.append(controller.place(device_id, token, location).pop_id)
         # sessions spread across PoPs rather than piling on one
         assert len(set(chosen)) > 5
         total = sum(p.active_sessions for p in controller.pops())

@@ -26,7 +26,6 @@ from repro.emulation.events import EventLoop
 from repro.emulation.trace import LinkTrace, LossProcess, opportunities_from_rate
 from repro.multipath.path import PathManager, PathState
 from repro.quic.cc.base import CongestionController
-from repro.quic.connection import QuicConnection
 from repro.sanitizer import (
     NULL_SANITIZER,
     NullSanitizer,
@@ -37,7 +36,6 @@ from repro.sanitizer import (
     sanitizer_or_default,
     totals,
 )
-from repro.sanitizer.core import TIMER_SPIN_LIMIT
 
 
 class FakeCc:
@@ -91,8 +89,6 @@ class TestNullSanitizer:
         NULL_SANITIZER.check_plan(0, None, None)
         NULL_SANITIZER.check_range_recovery(None, 0.0, 0.0)
         NULL_SANITIZER.check_decode_complete(None)
-        NULL_SANITIZER.check_state_transition("a", "b", ())
-        NULL_SANITIZER.check_timer_progress("k", 0.0)
 
     def test_same_interface_as_live(self):
         live = {m for m in dir(ProtocolSanitizer) if m.startswith("check_")}
@@ -131,9 +127,9 @@ class TestEnvHookAndResolution:
     def test_totals_accumulate(self):
         reset_totals()
         san = ProtocolSanitizer()
-        san.check_timer_progress("k", 1.0)
+        san.check_path_transition(0, "a", "b", frozenset({("a", "b")}))
         with pytest.raises(SanitizerViolation):
-            san.check_state_transition("a", "b", frozenset())
+            san.check_path_transition(0, "b", "a", frozenset())
         t = totals()
         assert t["checks"] == 2 and t["violations"] == 1
         assert san.stats_dict()["checks_run"] == 2
@@ -350,46 +346,6 @@ class TestDecodeCompletion:
                 delivered[pid] = data
         assert delivered == dict(enumerate(payloads))
         assert san.checks_run >= 1 and san.violations == 0
-
-
-class TestConnectionStateMachine:
-    def test_client_handshake_passes(self):
-        loop = EventLoop()
-        san = ProtocolSanitizer()
-        client = QuicConnection(loop, True, sanitizer=san)
-        server = QuicConnection(loop, False, sanitizer=san)
-        client.connect(server)
-        loop.run_until(1.0)
-        assert client.state == QuicConnection.ESTABLISHED
-        client.close()
-        server.close()
-        assert san.violations == 0
-
-    def test_illegal_transition_raises(self):
-        loop = EventLoop()
-        conn = QuicConnection(loop, True, sanitizer=ProtocolSanitizer())
-        conn._set_state(conn.CLOSED)
-        with pytest.raises(SanitizerViolation, match=r"\[conn-transition\]"):
-            conn._set_state(conn.ESTABLISHED)
-
-
-class TestTimerProgress:
-    def test_advancing_clock_never_trips(self):
-        san = ProtocolSanitizer()
-        for i in range(2 * TIMER_SPIN_LIMIT):
-            san.check_timer_progress("idle", i * 0.010)
-
-    def test_spin_at_one_timestamp_detected(self):
-        san = ProtocolSanitizer()
-        with pytest.raises(SanitizerViolation, match=r"\[timer-progress\]"):
-            for _ in range(TIMER_SPIN_LIMIT + 2):
-                san.check_timer_progress("idle", 4.25)
-
-    def test_keys_are_independent(self):
-        san = ProtocolSanitizer()
-        for i in range(TIMER_SPIN_LIMIT):
-            san.check_timer_progress("a", 1.0)
-            san.check_timer_progress("b", 1.0)
 
 
 class TestRangeLifecycleEdges:

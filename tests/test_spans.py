@@ -32,15 +32,12 @@ from repro.obs.spans import (
     SPAN_ENCODE,
     SPAN_FAULT,
     SPAN_FRAME,
-    SPAN_HANDSHAKE,
     SPAN_HEALTH,
     SPAN_NAMES,
     SPAN_PACKET,
-    SPAN_PLAYOUT,
     SPAN_RANGE,
     SPAN_TX,
 )
-from repro.video.playout import simulate_playout
 from repro.video.source import VideoConfig
 
 
@@ -195,47 +192,6 @@ class TestSpanTreeInvariants:
         sp = spans_run.telemetry.spans
         ids = [s.span_id for s in sp.spans()]
         assert ids == list(range(1, len(ids) + 1))
-
-    def test_handshake_and_decode_spans(self):
-        # the tunnel-run above does not handshake; a QUIC bring-up does
-        from repro.emulation.events import EventLoop
-        from repro.quic.connection import establish_tunnel_connection
-
-        tel = Telemetry()
-        tel.enable_spans()
-        loop = EventLoop()
-        tel.bind_clock(loop)
-        establish_tunnel_connection(loop, rtt=0.04, telemetry=tel)
-        hs = tel.spans.spans(SPAN_HANDSHAKE)
-        assert len(hs) == 1 and hs[0].closed
-        assert hs[0].attrs["outcome"] == "established"
-        assert hs[0].duration == pytest.approx(0.04)
-
-    def test_playout_spans_cause_link(self):
-        from repro.video.receiver import FrameRecord
-
-        assert SPAN_PLAYOUT in SPAN_NAMES
-        tel = Telemetry()
-        tel.enable_spans()
-        frame_sid = tel.spans.open(SPAN_FRAME, 0.0, frame=0)
-        tel.spans.bind("frame", 0, frame_sid)
-        tel.spans.close(frame_sid, 0.05)
-        records = [
-            FrameRecord(frame_id=0, capture_ts=0.0, keyframe=True,
-                        expected_packets=1, received_packets=1,
-                        complete_time=0.05),
-            FrameRecord(frame_id=1, capture_ts=0.033, keyframe=False,
-                        expected_packets=0),  # never seen -> skipped
-        ]
-        report = simulate_playout(records, telemetry=tel)
-        assert report.displayed_frames == 1 and report.skipped_frames == 1
-        playout = tel.spans.spans(SPAN_PLAYOUT)
-        assert len(playout) == 2
-        displayed, skipped = playout
-        assert displayed.attrs["cause"] == frame_sid
-        assert displayed.attrs["outcome"] == "displayed"
-        assert skipped.attrs["outcome"] == "skipped"
-        assert all(s.closed for s in playout)
 
     def test_byte_identical_span_jsonl_across_reruns(self, spans_run, tmp_path):
         res2 = run_stream("cellfusion", duration=2.0, seed=3,

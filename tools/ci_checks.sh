@@ -77,7 +77,6 @@ REPRO_SANITIZE=1 python -m pytest -q \
     tests/test_ranges.py \
     tests/test_recovery.py \
     tests/test_rlnc.py \
-    tests/test_connection.py \
     tests/test_runner.py \
     tests/test_schedulers.py
 
