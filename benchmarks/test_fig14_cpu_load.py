@@ -78,9 +78,19 @@ _results = {}
 def test_fig14_cpu_cost(benchmark, arm, bitrate):
     func = dict(ARMS)[arm]
     packets, range_starts = _workload(bitrate)
-    benchmark.pedantic(func, args=(packets, range_starts), rounds=2, iterations=1)
+    times = []
+
+    def timed():
+        t0 = time.perf_counter()
+        func(packets, range_starts)
+        times.append(time.perf_counter() - t0)
+
+    # untimed warm-up: the first call of a session fills the GF(2^8) tables
+    func(packets, range_starts)
+    # timed here, not from benchmark.stats, which --benchmark-disable leaves unset
+    benchmark.pedantic(timed, rounds=2, iterations=1)
     # normalised "CPU load": processing time per second of stream
-    load = benchmark.stats.stats.mean / STREAM_WINDOW * 100
+    load = sum(times) / len(times) / STREAM_WINDOW * 100
     _results[(arm, bitrate)] = load
     benchmark.extra_info["load_pct"] = load
 

@@ -22,9 +22,33 @@ from repro.analysis.report import format_table
 from repro.cloud.controller import Controller
 from repro.cloud.migration import MigrationManager
 from repro.cloud.pop import PopNode
-from repro.emulation.cellular import generate_rural_traces
+from repro.emulation.cellular import PROFILE_LEO_SAT, TechnologyProfile, generate_cellular_trace
 from repro.experiments.runner import run_single_link_stream, run_stream
 from repro.video.source import VideoConfig
+
+#: The lone rural LTE carrier: stretched cells, weak edges, long outages.
+SPARSE_LTE = TechnologyProfile(
+    name="LTE",
+    peak_uplink_mbps=30.0,
+    tower_spacing_m=2600.0,
+    shadow_sigma_db=7.0,
+    shadow_tau_s=6.0,
+    pathloss_exponent=3.0,
+    ref_power_dbm=-56.0,
+    outage_rate_per_min=1.2,
+    outage_mean_s=8.0,
+    sinr_decode_threshold_db=1.0,
+    base_delay=0.030,
+)
+
+
+def rural_traces(duration: float, seed: int, speed_mps: float = 22.0):
+    """One weak LTE link plus a LEO uplink that covers its dead zones."""
+    lte = generate_cellular_trace("LTE", carrier=0, duration=duration,
+                                  speed_mps=speed_mps, seed=seed, profile=SPARSE_LTE)
+    sat = generate_cellular_trace("LEO-SAT", carrier=9, duration=duration,
+                                  speed_mps=speed_mps, seed=seed + 77, profile=PROFILE_LEO_SAT)
+    return [lte.to_link_trace("LTE-rural"), sat.to_link_trace("LEO-sat")]
 
 
 def main() -> None:
@@ -32,7 +56,7 @@ def main() -> None:
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
 
     video = VideoConfig(bitrate_mbps=8.0, seed=seed)
-    traces = generate_rural_traces(duration=duration, seed=seed)
+    traces = rural_traces(duration, seed)
     print("Rural drive (%.0f s, seed %d): %s at %.1f Mbps mean, %s at %.1f Mbps mean"
           % (duration, seed, traces[0].name, traces[0].mean_capacity_mbps,
              traces[1].name, traces[1].mean_capacity_mbps))

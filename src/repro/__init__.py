@@ -10,7 +10,8 @@ Quick start::
     from repro import run_stream
 
     result = run_stream("cellfusion", duration=20.0, seed=1)
-    print(result.qoe.as_row())          # fps / stall ratio / SSIM
+    q = result.qoe
+    print(q.avg_fps, q.stall_ratio, q.ssim)
     print(result.redundancy_ratio)      # < 0.10 in the paper
 
 Package layout:

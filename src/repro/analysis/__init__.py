@@ -1,29 +1,19 @@
 """Statistics and reporting used by the figure benchmarks."""
 
-from .plots import ascii_bars, ascii_cdf, ascii_series, frame_strip
-from .report import format_percentiles, format_qoe_rows, format_table
+from .plots import ascii_cdf
+from .report import format_qoe_rows, format_table
 from .stats import (
     SeriesSummary,
-    cdf,
-    loss_rate_per_second,
-    per_second_bins,
     percentile,
     reduction_pct,
     tail_percentiles,
 )
 
 __all__ = [
-    "ascii_bars",
     "ascii_cdf",
-    "ascii_series",
-    "frame_strip",
-    "format_percentiles",
     "format_qoe_rows",
     "format_table",
     "SeriesSummary",
-    "cdf",
-    "loss_rate_per_second",
-    "per_second_bins",
     "percentile",
     "reduction_pct",
     "tail_percentiles",

@@ -1,8 +1,8 @@
-"""Terminal plots: CDFs, time series, bar charts for the figure outputs.
+"""Terminal plots: overlaid CDFs for the figure outputs.
 
-The paper's figures are gnuplot artifacts; these render the same data as
-plain text so benchmark output and the CLI can show *shapes* (CDF
-crossovers, per-second loss spikes, QoE bars) without a display server.
+The paper's figures are gnuplot artifacts; this renders the same data as
+plain text so the CLI can show *shapes* (CDF crossovers) without a
+display server.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "ascii_series",
     "ascii_cdf",
-    "ascii_bars",
-    "frame_strip",
 ]
 
 DEFAULT_WIDTH = 64
@@ -27,29 +24,6 @@ def _scale(value: float, lo: float, hi: float, steps: int) -> int:
     if hi <= lo:
         return 0
     return min(steps - 1, max(0, int((value - lo) / (hi - lo) * (steps - 1))))
-
-
-def ascii_series(
-    values: Sequence[float],
-    width: int = DEFAULT_WIDTH,
-    height: int = DEFAULT_HEIGHT,
-    label: str = "",
-) -> str:
-    """One time series as a strip chart (used for Fig. 3's RF panels)."""
-    v = np.asarray(list(values), dtype=float)
-    if v.size == 0:
-        return "%s (no data)" % label
-    if v.size > width:
-        v = np.array([chunk.mean() for chunk in np.array_split(v, width)])
-    lo, hi = float(v.min()), float(v.max())
-    grid = [[" "] * len(v) for _ in range(height)]
-    for x, value in enumerate(v):
-        y = _scale(value, lo, hi, height)
-        grid[height - 1 - y][x] = "#"
-    lines = [("%s  [%.2f .. %.2f]" % (label, lo, hi)).rstrip()]
-    lines += ["|" + "".join(row) for row in grid]
-    lines.append("+" + "-" * len(v))
-    return "\n".join(lines)
 
 
 def ascii_cdf(
@@ -89,30 +63,3 @@ def ascii_cdf(
     legend = "  ".join("%s=%s" % (_MARKS[i % len(_MARKS)], k) for i, k in enumerate(cleaned))
     lines.append(legend)
     return "\n".join(lines)
-
-
-def ascii_bars(
-    values: Dict[str, float],
-    width: int = 40,
-    unit: str = "",
-    title: str = "",
-) -> str:
-    """Horizontal bars (the Fig. 9/11/12 QoE panels)."""
-    if not values:
-        return "(no data)"
-    longest = max(len(k) for k in values)
-    top = max(values.values()) or 1.0
-    lines = [title] if title else []
-    for name, v in values.items():
-        bar = "#" * max(0, int(v / top * width))
-        lines.append("%-*s | %-*s %.3f%s" % (longest, name, width, bar, v, unit))
-    return "\n".join(lines)
-
-
-def frame_strip(statuses: Sequence[str], width: int = 66) -> str:
-    """The Fig. 8 film strip: '.' normal, 'b' blocky, 'X' lost."""
-    glyph = {"normal": ".", "corrupt": "b", "missing": "X"}
-    s = "".join(glyph.get(x, "?") for x in statuses)
-    if len(s) <= width:
-        return s
-    return s[:width] + "…"

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "format_table",
     "format_qoe_rows",
-    "format_percentiles",
     "render_cdf_svg",
     "render_hist_cdf_svg",
     "render_series_svg",
@@ -88,11 +87,6 @@ def format_qoe_rows(results: Dict[str, "object"]) -> str:
             ]
         )
     return format_table(headers, rows)
-
-
-def format_percentiles(name: str, pct: Dict[str, float], unit: str = "ms") -> str:
-    parts = ", ".join("%s=%.1f%s" % (k, v, unit) for k, v in pct.items())
-    return "%s: %s" % (name, parts)
 
 
 # -- SVG primitives ---------------------------------------------------------

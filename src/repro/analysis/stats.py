@@ -1,4 +1,4 @@
-"""Statistics helpers: percentiles, CDFs, per-second aggregation.
+"""Statistics helpers: percentiles, tail reports, mean/std summaries.
 
 Thin, well-tested wrappers used by every benchmark so the numbers quoted
 in EXPERIMENTS.md all come from one code path.
@@ -7,19 +7,15 @@ in EXPERIMENTS.md all come from one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 __all__ = [
     "percentile",
     "tail_percentiles",
-    "cdf",
-    "delays_from_telemetry",
     "reduction_pct",
     "SeriesSummary",
-    "per_second_bins",
-    "loss_rate_per_second",
 ]
 
 
@@ -41,40 +37,6 @@ def tail_percentiles(values: Sequence[float]) -> Dict[str, float]:
         "p99": percentile(values, 99),
         "p99.9": percentile(values, 99.9),
     }
-
-
-def cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF as (sorted values, cumulative probability)."""
-    arr = np.sort(np.asarray(list(values), dtype=np.float64))
-    if arr.size == 0:
-        return arr, arr
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return arr, probs
-
-
-def delays_from_telemetry(path: str) -> List[float]:
-    """Per-packet capture-to-decode delays from a telemetry JSONL export.
-
-    Pairs each ``app_in`` event with the first ``decoded`` event of the
-    same app packet id (range-scoped decode events are expanded over
-    their span), giving the Fig. 10a quantity straight from the trace —
-    feed the result to :func:`tail_percentiles` or :func:`cdf`.
-    """
-    from ..obs import read_jsonl
-
-    t_in: Dict[int, float] = {}
-    t_out: Dict[int, float] = {}
-    for rec in read_jsonl(path):
-        if rec.get("type") != "event":
-            continue
-        kind = rec.get("kind")
-        if kind == "app_in":
-            t_in[rec["packet_id"]] = rec["t"]
-        elif kind == "decoded":
-            for pid in range(rec["packet_id"],
-                             rec["packet_id"] + rec.get("count", 1)):
-                t_out.setdefault(pid, rec["t"])
-    return sorted(t_out[p] - t_in[p] for p in t_out if p in t_in)
 
 
 def reduction_pct(baseline: float, improved: float) -> float:
@@ -100,77 +62,3 @@ class SeriesSummary:
         if arr.size == 0:
             raise ValueError("empty sample")
         return cls(float(arr.mean()), float(arr.std()), float(arr.min()), float(arr.max()), arr.size)
-
-    def __str__(self) -> str:
-        return "%.3f ± %.3f [%.3f, %.3f] (n=%d)" % (self.mean, self.std, self.min, self.max, self.n)
-
-
-def _second_edges(t: np.ndarray, duration: Optional[float]) -> np.ndarray:
-    """1 Hz bin edges covering ``[0, duration)`` and every sample in ``t``.
-
-    Two edge cases both produce well-formed timelines instead of numpy
-    errors or silently wrong buckets:
-
-    * a zero-length run (``duration <= 0`` with no samples) yields a
-      single edge, which callers turn into empty arrays;
-    * ``np.histogram`` closes only its *last* bin on the right, so a
-      sample landing exactly on the final edge (e.g. an event stamped
-      precisely at ``duration``) would inflate the previous second — the
-      edges are extended past the last sample so it gets its own bucket.
-    """
-    if duration is None:
-        duration = float(t.max()) + 1.0 if t.size else 0.0
-    end = float(np.ceil(max(duration, 0.0)))
-    if t.size:
-        end = max(end, float(np.floor(t.max())) + 1.0)
-    return np.arange(0.0, end + 1.0)
-
-
-def per_second_bins(
-    times: Sequence[float], values: Optional[Sequence[float]] = None, duration: Optional[float] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregate event times into 1 Hz bins.
-
-    With ``values`` None, returns counts per second; otherwise the mean of
-    ``values`` per second (NaN for empty seconds).  Zero-length runs give
-    empty (but well-formed) arrays; samples exactly on the run-end
-    boundary extend the timeline by one second rather than inflating the
-    final bucket (see :func:`_second_edges`).
-    """
-    t = np.asarray(list(times), dtype=np.float64)
-    edges = _second_edges(t, duration)
-    if edges.size < 2:
-        return edges[:0], edges[:0]
-    counts, _ = np.histogram(t, bins=edges)
-    if values is None:
-        return edges[:-1], counts.astype(np.float64)
-    v = np.asarray(list(values), dtype=np.float64)
-    sums, _ = np.histogram(t, bins=edges, weights=v)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return edges[:-1], means
-
-
-def loss_rate_per_second(
-    sent_times: Sequence[float], recv_ids: set, sent_ids: Sequence[int], duration: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-second loss rate from (send time, id) pairs and a received-id set.
-
-    Mirrors the §2.2 methodology: loss = 1 - received/sent within the
-    second of transmission.  Shares :func:`_second_edges` with
-    :func:`per_second_bins`: zero-length runs yield empty arrays, and a
-    packet sent exactly at ``duration`` lands in its own second.
-    """
-    t = np.asarray(list(sent_times), dtype=np.float64)
-    ids = list(sent_ids)
-    if t.size != len(ids):
-        raise ValueError("sent_times/sent_ids length mismatch")
-    edges = _second_edges(t, duration)
-    if edges.size < 2:
-        return edges[:0], edges[:0]
-    sent_counts, _ = np.histogram(t, bins=edges)
-    got = np.asarray([1.0 if i in recv_ids else 0.0 for i in ids])
-    got_counts, _ = np.histogram(t, bins=edges, weights=got)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rate = np.where(sent_counts > 0, 1.0 - got_counts / np.maximum(sent_counts, 1), np.nan)
-    return edges[:-1], rate

@@ -355,17 +355,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 2
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # tools/ is a sibling of src/ at the repo root, deliberately outside
-    # the package so the linter stays importable without repro installed
-    import tools.lint as lint
-
-    forwarded = list(args.lint_args)
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return lint.main(forwarded)
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = tuple(range(args.runs))
     res = figures.compare_transports(
@@ -623,11 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
     _chaos_common(c_diff)
     c_diff.set_defaults(func=_cmd_chaos)
 
+    # listed for --help only: main() forwards "lint" before argparse runs
     p_lint = sub.add_parser("lint", help="run the repo protocol/determinism linter")
     p_lint.add_argument("lint_args", nargs=argparse.REMAINDER,
                         help="arguments forwarded to tools.lint (e.g. "
                              "--format json, --rule no-wall-clock, paths)")
-    p_lint.set_defaults(func=_cmd_lint)
     return parser
 
 

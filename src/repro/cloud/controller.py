@@ -56,11 +56,6 @@ class Controller:
         self._devices[device_id] = DeviceRecord(device_id, secret)
         return secret.hex()
 
-    def revoke_device(self, device_id: str) -> None:
-        record = self._devices.get(device_id)
-        if record is not None:
-            record.revoked = True
-
     def authenticate(self, device_id: str, token: str) -> bool:
         """Only legal users may access the service (§6.1 function 1)."""
         record = self._devices.get(device_id)
@@ -102,11 +97,6 @@ class Controller:
         pop = self._pops.get(pop_id)
         if pop is not None:
             pop.draining = True
-
-    def undrain(self, pop_id: str) -> None:
-        pop = self._pops.get(pop_id)
-        if pop is not None:
-            pop.draining = False
 
     # -- orchestration -------------------------------------------------------------
 

@@ -28,16 +28,15 @@ class SnatTable:
     """Port-translating source NAT.
 
     Forward: (proto, private_ip, private_port) -> public port on
-    ``public_ip``.  Reverse: public port -> the original endpoint.
+    ``public_ip``; the reverse map keeps allocated ports unique.
 
     With ``idle_timeout`` set, mappings carry a last-use stamp (callers
-    pass ``now`` to :meth:`translate`/:meth:`reverse`) and idle entries
-    are evicted — lazily when an allocation finds the pool exhausted, or
-    eagerly via :meth:`expire_idle`.  Without it the table behaves as
-    before: mappings live until released, which on long soak runs
-    exhausts the port pool.  :meth:`flush` models a NAT rebind (the
-    middlebox rebooted / the mapping state is gone), the fault the
-    chaos layer injects.
+    pass ``now`` to :meth:`translate`) and idle entries are evicted —
+    lazily when an allocation finds the pool exhausted, or eagerly via
+    :meth:`expire_idle`.  Without it the table behaves as before:
+    mappings live until released, which on long soak runs exhausts the
+    port pool.  ``flushes`` is reported by the fleet's control-plane
+    summary and stays 0: nothing flushes a fleet's table.
     """
 
     def __init__(self, public_ip: str, port_base: int = 20000, port_count: int = 40000,
@@ -85,18 +84,6 @@ class SnatTable:
             self._last_used[key] = now
         return self.public_ip, port
 
-    def reverse(self, proto: int, public_port: int,
-                now: Optional[float] = None) -> Tuple[str, int]:
-        """Original endpoint for return traffic hitting ``public_port``.
-        Return traffic also keeps the mapping alive when ``now`` is given."""
-        try:
-            src_ip, src_port = self._reverse[(proto, public_port)]
-        except KeyError:
-            raise NatError("no SNAT mapping for proto %d port %d" % (proto, public_port))
-        if now is not None:
-            self._last_used[(proto, src_ip, src_port)] = now
-        return src_ip, src_port
-
     def release(self, proto: int, src_ip: str, src_port: int) -> None:
         key = (proto, src_ip, src_port)
         port = self._forward.pop(key, None)
@@ -116,12 +103,3 @@ class SnatTable:
             self.release(*key)
         self.evictions += len(stale)
         return len(stale)
-
-    def flush(self) -> int:
-        """Drop every mapping at once (NAT rebind); returns how many died."""
-        n = len(self._forward)
-        self._forward.clear()
-        self._reverse.clear()
-        self._last_used.clear()
-        self.flushes += 1
-        return n

@@ -3,14 +3,13 @@
 from .coefficients import CoefficientGenerator, coefficient_vector
 from .endpoint import XncConfig, XncTunnelClient, XncTunnelServer
 from .frames import FRAME_XNC_NC, XncHeader, XncNcFrame
-from .loss_detection import LossDetector, QoeLossPolicy, SentPacketRecord, pto_interval
+from .loss_detection import QoeLossPolicy, pto_interval
 from .ranges import (
     EncodeRange,
     LostPacket,
     RangePolicy,
     RetransmissionQueue,
     build_ranges,
-    drop_expired,
 )
 from .recovery import (
     PathBudget,
@@ -31,16 +30,13 @@ __all__ = [
     "FRAME_XNC_NC",
     "XncHeader",
     "XncNcFrame",
-    "LossDetector",
     "QoeLossPolicy",
-    "SentPacketRecord",
     "pto_interval",
     "EncodeRange",
     "LostPacket",
     "RangePolicy",
     "RetransmissionQueue",
     "build_ranges",
-    "drop_expired",
     "PathBudget",
     "RecoveryPlan",
     "RecoveryPolicy",

@@ -4,8 +4,8 @@ XNC performs all coding operations in GF(2^8) (the paper sets ``m = 8`` so
 each symbol is one byte, chosen to enable SIMD acceleration on the CPE's ARM
 cores, §4.3.1/§5.2).  This module provides:
 
-* scalar operations (``gf_mul``, ``gf_div``, ``gf_inv``, ``gf_pow``) used by
-  the pure-Python "no-SIMD" code path, and
+* scalar operations (``gf_mul``, ``gf_inv``) and the byte-at-a-time
+  buffer kernels of the pure-Python "no-SIMD" code path, and
 * vectorised operations over whole byte arrays (``gf_mul_vec``,
   ``gf_addmul_vec``) built on numpy table lookups, standing in for the ARM
   NEON ``vmull_p8`` path of the paper.
@@ -22,11 +22,8 @@ __all__ = [
     "GF_POLY",
     "GF_GENERATOR",
     "GF_ORDER",
-    "gf_add",
     "gf_mul",
     "gf_inv",
-    "gf_div",
-    "gf_pow",
     "gf_mul_vec",
     "gf_addmul_vec",
     "gf_mul_bytes",
@@ -34,7 +31,6 @@ __all__ = [
     "gf_mul_scalar_buffer",
     "gf_addmul_scalar_buffer",
     "gf_matrix_rank",
-    "gf_solve",
 ]
 
 #: Irreducible polynomial for GF(2^8) (AES polynomial).
@@ -77,11 +73,6 @@ _INV_TABLE = np.zeros(256, dtype=np.uint8)
 _INV_TABLE[1:] = _EXP[255 - _LOG[_nz]]
 
 
-def gf_add(a: int, b: int) -> int:
-    """Add two field elements (XOR)."""
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements (scalar path)."""
     if a == 0 or b == 0:
@@ -94,24 +85,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
     return int(_INV_TABLE[a])
-
-
-def gf_div(a: int, b: int) -> int:
-    """Divide ``a`` by ``b``; raises ZeroDivisionError when ``b == 0``."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return int(_EXP[_LOG[a] - _LOG[b] + 255])
-
-
-def gf_pow(a: int, n: int) -> int:
-    """Raise ``a`` to the ``n``-th power."""
-    if n == 0:
-        return 1
-    if a == 0:
-        return 0
-    return int(_EXP[(_LOG[a] * n) % 255])
 
 
 #: Below this many bytes the ``bytes.translate`` path beats numpy fancy
@@ -243,38 +216,3 @@ def gf_matrix_rank(matrix: np.ndarray) -> int:
         if rank == rows:
             break
     return rank
-
-
-def gf_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` over GF(2^8).
-
-    ``matrix`` is (k, n) with k >= n and must have rank n; ``rhs`` is a
-    (k, L) byte array (one row per equation).  Returns the (n, L) solution.
-    Raises ValueError when the system is not full rank.
-    """
-    a = np.array(matrix, dtype=np.uint8, copy=True)
-    b = np.array(rhs, dtype=np.uint8, copy=True)
-    rows, cols = a.shape
-    if b.shape[0] != rows:
-        raise ValueError("matrix/rhs row mismatch")
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("singular system: no pivot for column %d" % col)
-        a[[rank, pivot]] = a[[pivot, rank]]
-        b[[rank, pivot]] = b[[pivot, rank]]
-        inv = gf_inv(int(a[rank, col]))
-        a[rank] = gf_mul_vec(a[rank], inv)
-        b[rank] = gf_mul_vec(b[rank], inv)
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                c = int(a[r, col])
-                gf_addmul_vec(a[r], a[rank], c)
-                gf_addmul_vec(b[r], b[rank], c)
-        rank += 1
-    return b[:cols]

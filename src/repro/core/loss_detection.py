@@ -11,19 +11,16 @@ because recovery traffic still spends congestion window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "pto_interval",
     "QoeLossPolicy",
-    "SentPacketRecord",
-    "LossDetector",
 ]
 
-#: RFC 9002 constants used by the PTO computation.
+#: RFC 9002 timer granularity used by the PTO computation.
 DEFAULT_TIMER_GRANULARITY = 0.001
-DEFAULT_INITIAL_RTT = 0.333
 
 
 def pto_interval(
@@ -62,79 +59,3 @@ class QoeLossPolicy:
         if self.app_threshold is None:
             return pto
         return min(self.app_threshold, pto)
-
-
-@dataclass
-class SentPacketRecord:
-    """Book-keeping for one in-flight packet on one path."""
-
-    packet_id: int
-    sent_time: float
-    path_id: int
-    size: int
-    frame_id: Optional[int] = None
-    is_recovery: bool = False
-
-
-class LossDetector:
-    """Tracks in-flight packets and surfaces losses per the QoE policy.
-
-    One detector serves the whole connection; thresholds are evaluated with
-    the RTT statistics of the path each packet was sent on, supplied by the
-    caller through ``path_rtt``.
-    """
-
-    def __init__(self, policy: Optional[QoeLossPolicy] = None):
-        self.policy = policy or QoeLossPolicy()
-        self._in_flight: Dict[int, SentPacketRecord] = {}
-        self.acked_count = 0
-        self.lost_count = 0
-        self.spurious_count = 0
-
-    def __len__(self) -> int:
-        return len(self._in_flight)
-
-    def on_sent(self, record: SentPacketRecord) -> None:
-        """Register a transmission (originals only; recovery packets are
-        one-shot and never re-detected, §4.5.2)."""
-        self._in_flight[record.packet_id] = record
-
-    def on_acked(self, packet_id: int) -> Optional[SentPacketRecord]:
-        """Process an ACK; returns the record, or None if unknown/late."""
-        record = self._in_flight.pop(packet_id, None)
-        if record is None:
-            # already declared lost (or duplicate ACK): the recovery was
-            # spurious, which costs redundancy but not correctness.
-            self.spurious_count += 1
-            return None
-        self.acked_count += 1
-        return record
-
-    def detect(self, now: float, path_rtt: Dict[int, tuple]) -> List[SentPacketRecord]:
-        """Return (and remove) every packet past its loss threshold.
-
-        ``path_rtt`` maps path_id -> (smoothed_rtt, rtt_var).  Paths absent
-        from the map fall back to the RFC 9002 initial RTT.
-        """
-        lost: List[SentPacketRecord] = []
-        for pid in list(self._in_flight):
-            record = self._in_flight[pid]
-            srtt, var = path_rtt.get(record.path_id, (DEFAULT_INITIAL_RTT, DEFAULT_INITIAL_RTT / 2))
-            if now - record.sent_time >= self.policy.threshold(srtt, var):
-                lost.append(record)
-                del self._in_flight[pid]
-        self.lost_count += len(lost)
-        return lost
-
-    def next_deadline(self, path_rtt: Dict[int, tuple]) -> Optional[float]:
-        """Earliest time any in-flight packet can be declared lost."""
-        deadline = None
-        for record in self._in_flight.values():
-            srtt, var = path_rtt.get(record.path_id, (DEFAULT_INITIAL_RTT, DEFAULT_INITIAL_RTT / 2))
-            t = record.sent_time + self.policy.threshold(srtt, var)
-            if deadline is None or t < deadline:
-                deadline = t
-        return deadline
-
-    def in_flight_on_path(self, path_id: int) -> int:
-        return sum(1 for r in self._in_flight.values() if r.path_id == path_id)

@@ -21,7 +21,7 @@ stale video wastes bandwidth that newer frames need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 __all__ = [
     "DEFAULT_MAX_RANGE_PACKETS",
@@ -31,7 +31,6 @@ __all__ = [
     "EncodeRange",
     "RangePolicy",
     "build_ranges",
-    "drop_expired",
     "RetransmissionQueue",
 ]
 
@@ -69,11 +68,6 @@ class EncodeRange:
 
     def packet_ids(self) -> range:
         return range(self.start_id, self.end_id)
-
-    def is_expired(self, now: float, t_expire: float = DEFAULT_EXPIRY) -> bool:
-        """True when the last packet of the range has expired (§4.4.3)."""
-        return now - self.last_sent_time > t_expire
-
 
 @dataclass
 class RangePolicy:
@@ -142,20 +136,6 @@ def build_ranges(lost: Sequence[LostPacket], policy: Optional[RangePolicy] = Non
     return ranges
 
 
-def drop_expired(
-    ranges: Iterable[EncodeRange], now: float, t_expire: float = DEFAULT_EXPIRY
-) -> tuple[List[EncodeRange], List[EncodeRange]]:
-    """Split ranges into (live, expired) per the §4.4.3 rule."""
-    live: List[EncodeRange] = []
-    expired: List[EncodeRange] = []
-    for rng in ranges:
-        if rng.is_expired(now, t_expire):
-            expired.append(rng)
-        else:
-            live.append(rng)
-    return live, expired
-
-
 class RetransmissionQueue:
     """The sender's queue of detected-lost packets awaiting recovery.
 
@@ -189,9 +169,6 @@ class RetransmissionQueue:
     def discard(self, packet_id: int) -> None:
         """Remove a packet (e.g. a late ACK arrived before recovery ran)."""
         self._lost.pop(packet_id, None)
-
-    def contains(self, packet_id: int) -> bool:
-        return packet_id in self._lost
 
     def expire(self, now: float) -> List[LostPacket]:
         """Drop and return every queued packet older than ``t_expire``."""

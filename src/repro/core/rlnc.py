@@ -122,9 +122,6 @@ class RlncEncoder:
         self.simd = simd
         self._pool: Dict[int, PooledPacket] = {}
 
-    def __len__(self) -> int:
-        return len(self._pool)
-
     def register(self, packet_id: int, payload: bytes, timestamp: float = 0.0) -> None:
         """Save a copy of an original packet before its first transmission."""
         if packet_id < 0:
@@ -141,10 +138,6 @@ class RlncEncoder:
     def release_range(self, start_id: int, count: int) -> None:
         for pid in range(start_id, start_id + count):
             self._pool.pop(pid, None)
-
-    def pool_bytes(self) -> int:
-        """Total payload bytes currently pooled (for memory accounting)."""
-        return sum(len(p.payload) for p in self._pool.values())
 
     def _range_width(self, start_id: int, count: int) -> int:
         width = 0
@@ -310,9 +303,6 @@ class RlncDecoder:
         self.sanitizer = sanitizer if sanitizer is not None else NULL_SANITIZER
         self.stats = DecodeStats()
 
-    def is_delivered(self, packet_id: int) -> bool:
-        return self._delivered.get(packet_id, False)
-
     def _deliver(self, packet_id: int, payload: bytes, out: List[Tuple[int, bytes]]) -> None:
         if self._delivered.get(packet_id, False):
             self.stats.duplicates += 1
@@ -401,10 +391,3 @@ class RlncDecoder:
     def expire_range(self, start_id: int, count: int) -> None:
         """Drop an open range whose packets passed ``t_expire`` (§4.4.3)."""
         self._ranges.pop((start_id, count), None)
-
-    def open_ranges(self) -> List[Tuple[int, int]]:
-        return sorted(self._ranges.keys())
-
-    def range_rank(self, start_id: int, count: int) -> int:
-        rng = self._ranges.get((start_id, count))
-        return 0 if rng is None else rng.rank

@@ -8,7 +8,6 @@ from .cellular import (
     generate_cellular_trace,
     generate_downlink_trace,
     generate_fleet_traces,
-    generate_rural_traces,
     profile_for,
 )
 from .emulator import MultipathEmulator, PathChannel
@@ -34,7 +33,6 @@ __all__ = [
     "generate_cellular_trace",
     "generate_downlink_trace",
     "generate_fleet_traces",
-    "generate_rural_traces",
     "profile_for",
     "MultipathEmulator",
     "PathChannel",

@@ -42,7 +42,6 @@ __all__ = [
     "profile_for",
     "generate_cellular_trace",
     "generate_fleet_traces",
-    "generate_rural_traces",
     "generate_downlink_trace",
 ]
 
@@ -287,39 +286,6 @@ def generate_fleet_traces(
         )
         traces.append(cell.to_link_trace())
     return traces
-
-
-def generate_rural_traces(
-    duration: float = 60.0, seed: int = 0, speed_mps: float = 22.0
-) -> List[LinkTrace]:
-    """A sparse-coverage mix (§10): one weak LTE link plus a LEO uplink.
-
-    Models the "areas where cellular infrastructure is sparse" scenario
-    the discussion motivates: the LTE carrier has stretched cells (weak
-    edges, long outages) and the satellite link compensates with
-    position-independent coverage but higher delay and handover gaps.
-    """
-    sparse_lte = TechnologyProfile(
-        name="LTE",
-        peak_uplink_mbps=30.0,
-        tower_spacing_m=2600.0,
-        shadow_sigma_db=7.0,
-        shadow_tau_s=6.0,
-        pathloss_exponent=3.0,
-        ref_power_dbm=-56.0,
-        outage_rate_per_min=1.2,
-        outage_mean_s=8.0,
-        sinr_decode_threshold_db=1.0,
-        base_delay=0.030,
-    )
-    lte = generate_cellular_trace(
-        "LTE", carrier=0, duration=duration, speed_mps=speed_mps, seed=seed, profile=sparse_lte
-    )
-    sat = generate_cellular_trace(
-        "LEO-SAT", carrier=9, duration=duration, speed_mps=speed_mps, seed=seed + 77,
-        profile=PROFILE_LEO_SAT,
-    )
-    return [lte.to_link_trace("LTE-rural"), sat.to_link_trace("LEO-sat")]
 
 
 def generate_downlink_trace(

@@ -129,9 +129,3 @@ class MultipathEmulator:
 
     def downlink_stats(self) -> Dict[int, LinkStats]:
         return {c.path_id: c.downlink.stats for c in self.channels}
-
-    def total_uplink_bytes(self) -> int:
-        """Bytes that entered uplink queues (sent, not necessarily delivered)."""
-        return sum(
-            c.uplink.stats.bytes_delivered + c.uplink.stats.bytes_dropped for c in self.channels
-        )

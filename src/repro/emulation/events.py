@@ -49,14 +49,6 @@ class EventHandle(list):
 
     __slots__ = ()
 
-    @property
-    def time(self) -> float:
-        return self[_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[_CALLBACK] is None
-
     def cancel(self) -> None:
         """Cancel the event; safe to call more than once (or after firing)."""
         if self[_CALLBACK] is None:
@@ -78,14 +70,6 @@ class EventLoop:
         self._counter = itertools.count()
         self._cancelled = 0
         self.events_processed = 0
-
-    def pending_events(self) -> int:
-        """Live (non-cancelled) events still in the heap."""
-        return len(self._heap) - self._cancelled
-
-    def heap_size(self) -> int:
-        """Physical heap length, dead entries included (observability)."""
-        return len(self._heap)
 
     def schedule(self, when: float, callback: Callable, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
@@ -123,44 +107,12 @@ class EventLoop:
         self._heap[:] = live
         self._cancelled = 0
 
-    def _pop_live(self) -> Optional[EventHandle]:
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[_CALLBACK] is not None:
-                return entry
-            self._cancelled -= 1
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][_CALLBACK] is None:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][_TIME] if heap else None
-
-    def step(self) -> bool:
-        """Run one event; returns False when the queue is empty."""
-        entry = self._pop_live()
-        if entry is None:
-            return False
-        self.now = entry[_TIME]
-        callback, args = entry[_CALLBACK], entry[_ARGS]
-        # null the popped entry so a late cancel() through a kept handle is
-        # a no-op (and is not double-counted against the heap)
-        entry[_CALLBACK] = None
-        entry[_ARGS] = ()
-        self.events_processed += 1
-        callback(*args)
-        return True
-
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``, then advance to it.
 
         This is the simulation's innermost loop (every event of every run
-        goes through it), so the peek/pop sequence is fused inline rather
-        than paying two method calls per event via peek_time()/step().
+        goes through it), so the peek/pop sequence is inline rather than
+        two method calls per event.
         """
         heap = self._heap
         while heap:
@@ -181,13 +133,6 @@ class EventLoop:
             callback(*args)
         self.now = max(self.now, end_time)
 
-    def run(self, max_events: int = 50_000_000) -> None:
-        """Run until the event queue is exhausted."""
-        for _ in range(max_events):
-            if not self.step():
-                return
-        raise SimulationError("event budget exhausted; runaway simulation?")
-
 
 class PeriodicTimer:
     """Repeats ``callback()`` every ``interval`` seconds until stopped."""
@@ -200,10 +145,6 @@ class PeriodicTimer:
         self._callback = callback
         self._handle: Optional[EventHandle] = None
         self._running = False
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     def start(self, first_delay: Optional[float] = None) -> None:
         if self._running:

@@ -140,10 +140,6 @@ class EmulatedLink:
         return self._queue_bytes
 
     @property
-    def queue_packets(self) -> int:
-        return len(self._queue)
-
-    @property
     def name(self) -> str:
         return self.trace.name
 

@@ -124,12 +124,6 @@ class LinkTrace:
         """Average capacity implied by the delivery opportunities."""
         return self.opportunities.size * MTU_BYTES * 8 / self.duration / 1e6
 
-    def capacity_series(self, bucket: float = 1.0) -> np.ndarray:
-        """Per-bucket capacity in Mbps (used by plots and tests)."""
-        edges = np.arange(0.0, self.duration + bucket, bucket)
-        counts, _ = np.histogram(self.opportunities, bins=edges)
-        return counts * MTU_BYTES * 8 / bucket / 1e6
-
 
 def opportunities_from_rate(rate_mbps: float, duration: float, start: float = 0.0) -> np.ndarray:
     """Evenly spaced delivery opportunities for a constant-rate link."""

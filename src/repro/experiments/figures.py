@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.stats import SeriesSummary, cdf, reduction_pct, tail_percentiles
+from ..analysis.stats import SeriesSummary, reduction_pct, tail_percentiles
 from ..emulation.cellular import generate_cellular_trace, generate_fleet_traces
 from ..video.source import VideoConfig
 from .runner import StreamRunResult, run_single_link_stream, run_stream

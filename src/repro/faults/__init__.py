@@ -17,7 +17,7 @@ from .plan import (
     FaultPlanError,
     random_plan,
 )
-from .soak import SoakError, SoakReport, run_chaos_soak
+from .soak import SoakReport, run_chaos_soak
 
 __all__ = [
     "FAULT_KINDS",
@@ -26,7 +26,6 @@ __all__ = [
     "FaultPlanBuilder",
     "FaultPlanError",
     "FaultInjector",
-    "SoakError",
     "SoakReport",
     "random_plan",
     "run_chaos_soak",

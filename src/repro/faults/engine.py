@@ -65,13 +65,12 @@ def _effect_for(event: FaultEvent) -> Optional[_Effect]:
 
 
 class FaultInjector:
-    """Applies a fault plan to a :class:`MultipathEmulator` (and NATs).
+    """Applies a fault plan to a :class:`MultipathEmulator`.
 
-    Build it after the emulator, :meth:`register_nat` any SNAT tables
-    that should die on ``nat_rebind``/``pop_handover``, then :meth:`arm`
-    before running the loop.  Counters (``applied``/``lifted``/
-    ``nat_flushes``) and :meth:`active_count` let soak harnesses assert
-    the overlay drains back to nothing.
+    Build it after the emulator, then :meth:`arm` before running the
+    loop.  Counters (``applied``/``lifted``/``nat_flushes``) and
+    :meth:`active_count` let soak harnesses assert the overlay drains
+    back to nothing.
     """
 
     def __init__(
@@ -95,7 +94,6 @@ class FaultInjector:
         self.lifted = 0
         self.nat_flushes = 0
         self._armed = False
-        self._nats: List[object] = []
         self._active: Dict[EmulatedLink, List[_Effect]] = {}
         self._states: Dict[EmulatedLink, LinkFaultState] = {}
         # the live _Effect of each in-window event, keyed by event identity
@@ -104,10 +102,6 @@ class FaultInjector:
         # open causal fault span per in-window event, same key
         self._event_spans: Dict[int, int] = {}
         plan.validate(path_count=emulator.path_count)
-
-    def register_nat(self, table) -> None:
-        """NAT tables flushed by ``nat_rebind``/``pop_handover`` events."""
-        self._nats.append(table)
 
     def arm(self) -> None:
         """Schedule every plan event's begin (and end) on the loop."""
@@ -166,11 +160,10 @@ class FaultInjector:
         link.fault = state
 
     def _flush_nats(self) -> int:
-        n = 0
-        for table in self._nats:
-            n += table.flush()
+        """Count a NAT rebind; returns the mappings dropped, which is 0:
+        no SNAT table is wired to the injector."""
         self.nat_flushes += 1
-        return n
+        return 0
 
     def _emit(self, event: FaultEvent, phase: str, **extra) -> None:
         tel = self.telemetry

@@ -190,10 +190,6 @@ class FaultPlan:
                 raise FaultPlanError("event %d: %s" % (i, exc))
         return cls(events)
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
         with open(path, "r", encoding="utf-8") as fh:
@@ -271,31 +267,17 @@ class FaultPlanBuilder:
 DESTRUCTIVE_KINDS = ("blackout", "ack_blackout", "bandwidth_cliff", "burst_loss")
 
 
-def random_plan(
-    seed: int,
-    duration: float,
-    path_count: int = 4,
-    events_per_10s: float = 6.0,
-    spare_path: bool = True,
-    weights: Optional[dict] = None,
-) -> FaultPlan:
+def random_plan(seed: int, duration: float, path_count: int = 4) -> FaultPlan:
     """A seeded random fault plan for chaos soaks.
 
-    Draws a Poisson-ish mix of every windowed fault kind plus occasional
-    NAT rebinds and PoP handovers over ``[0.5, duration)``.  With
-    ``spare_path`` (default), the highest-numbered path never receives a
+    Draws a Poisson-ish mix of every windowed fault kind (six events per
+    10 s) plus a NAT rebind, and a PoP handover on runs of 8 s or more,
+    over ``[0.5, duration)``.  The highest-numbered path never receives a
     capacity-destroying fault (blackout / ack_blackout / bandwidth_cliff
     / burst_loss), so the tunnel always retains *some* surviving capacity
     and "delivers what the surviving capacity admits" is a meaningful
-    assertion; set it False for total-loss torture runs.
-
-    ``weights`` switches to weighted drawing: a ``{kind: mass}`` dict
-    over any subset of :data:`FAULT_KINDS` — including the middlebox
-    kinds ``nat_rebind`` / ``pop_handover``, which the default mix only
-    appends as a fixed tail — so campaigns can steer coverage toward
-    any fault family.  The default (``weights=None``) keeps the legacy
-    draw sequence byte for byte: regression-pinned soak digests depend
-    on it.
+    assertion.  The draw sequence is fixed: the soak digests and
+    ``fleet_tunnel``'s faulted vehicles depend on it byte for byte.
     """
     if duration <= 1.0:
         raise FaultPlanError("chaos plans need at least 1 s of run time")
@@ -303,17 +285,13 @@ def random_plan(
         raise FaultPlanError("path_count must be >= 1")
     rng = seeded_rng(seed, "fault-plan")
     b = FaultPlanBuilder()
-    n_events = max(1, int(events_per_10s * duration / 10.0))
-    destructive = DESTRUCTIVE_KINDS
-    if weights is not None:
-        return _weighted_plan(rng, b, n_events, duration, path_count,
-                              spare_path, weights)
+    n_events = max(1, int(6.0 * duration / 10.0))
     kinds = ("blackout", "brownout", "burst_loss", "rtt_spike",
              "bandwidth_cliff", "reorder", "duplicate", "ack_blackout")
     for _ in range(n_events):
         kind = rng.choice(kinds)
-        limit = path_count - 1 if (spare_path and path_count > 1
-                                   and kind in destructive) else path_count
+        limit = path_count - 1 if (path_count > 1
+                                   and kind in DESTRUCTIVE_KINDS) else path_count
         pid = rng.randrange(limit)
         start = 0.5 + rng.random() * max(0.1, duration - 1.5)
         span = min(0.3 + rng.random() * 2.5, max(0.2, duration - start))
@@ -338,60 +316,4 @@ def random_plan(
     if duration >= 8.0:
         b.pop_handover(0.5 + rng.random() * (duration - 1.0),
                        outage=0.1 + 0.3 * rng.random())
-    return b.build()
-
-
-def _weighted_plan(
-    rng,
-    b: FaultPlanBuilder,
-    n_events: int,
-    duration: float,
-    path_count: int,
-    spare_path: bool,
-    weights: dict,
-) -> FaultPlan:
-    """Weighted-draw body of :func:`random_plan` (``weights`` mode).
-
-    Every one of the 10 :data:`FAULT_KINDS` is reachable; generated
-    events always satisfy :meth:`FaultPlan.validate` for ``path_count``.
-    """
-    unknown = set(weights) - set(FAULT_KINDS)
-    if unknown:
-        raise FaultPlanError("unknown fault kinds in weights: %s"
-                             % ", ".join(sorted(unknown)))
-    if any(w < 0 for w in weights.values()):
-        raise FaultPlanError("fault weights must be >= 0")
-    kinds = tuple(k for k in FAULT_KINDS if weights.get(k, 0.0) > 0.0)
-    if not kinds:
-        raise FaultPlanError("weights must give at least one kind positive mass")
-    mass = tuple(float(weights[k]) for k in kinds)
-    for _ in range(n_events):
-        kind = rng.choices(kinds, weights=mass, k=1)[0]
-        start = 0.5 + rng.random() * max(0.1, duration - 1.5)
-        if kind == "nat_rebind":
-            b.nat_rebind(start)
-            continue
-        if kind == "pop_handover":
-            b.pop_handover(start, outage=0.1 + 0.3 * rng.random())
-            continue
-        limit = path_count - 1 if (spare_path and path_count > 1
-                                   and kind in DESTRUCTIVE_KINDS) else path_count
-        pid = rng.randrange(limit)
-        span = min(0.3 + rng.random() * 2.5, max(0.2, duration - start))
-        if kind == "blackout":
-            b.blackout(start, span, path_id=pid)
-        elif kind == "brownout":
-            b.brownout(start, span, severity=0.1 + 0.6 * rng.random(), path_id=pid)
-        elif kind == "burst_loss":
-            b.burst_loss(start, min(span, 0.8), severity=1.0, path_id=pid)
-        elif kind == "rtt_spike":
-            b.rtt_spike(start, span, delay=0.05 + 0.5 * rng.random(), path_id=pid)
-        elif kind == "bandwidth_cliff":
-            b.bandwidth_cliff(start, span, scale=0.05 + 0.3 * rng.random(), path_id=pid)
-        elif kind == "reorder":
-            b.reorder(start, span, jitter=0.02 + 0.1 * rng.random(), path_id=pid)
-        elif kind == "duplicate":
-            b.duplicate(start, span, prob=0.1 + 0.4 * rng.random(), path_id=pid)
-        else:
-            b.ack_blackout(start, min(span, 1.0), path_id=pid)
     return b.build()

@@ -6,7 +6,7 @@ injector, streams video through the adversity, and returns a
 :class:`SoakReport` with the three guarantees a robustness suite asserts:
 
 * **delivery**: the tunnel kept delivering what surviving capacity admits
-  (the random plan spares one path by default);
+  (the random plan spares one path);
 * **bounded state**: every fault window was lifted (the link overlay
   drained back to ``fault is None``) and sent-packet maps were GC'd;
 * **determinism**: :attr:`SoakReport.digest` hashes the run's observable
@@ -25,14 +25,9 @@ from ..determinism import digest
 from .plan import FaultPlan, random_plan
 
 __all__ = [
-    "SoakError",
     "SoakReport",
     "run_chaos_soak",
 ]
-
-
-class SoakError(AssertionError):
-    """A chaos-soak guarantee (delivery / bounded state) was violated."""
 
 
 @dataclass
@@ -72,21 +67,6 @@ class SoakReport:
     plan: Optional[FaultPlan] = None
     #: The run's :class:`~repro.obs.Telemetry` when requested, else None.
     telemetry: Optional[object] = None
-
-    def assert_healthy(self, min_delivery: float = 0.2) -> None:
-        """Raise :class:`SoakError` unless the soak guarantees held."""
-        if self.terminal_error is not None:
-            raise SoakError("tunnel hit terminal error: %s" % self.terminal_error)
-        if self.packets_sent == 0:
-            raise SoakError("source emitted nothing — harness misconfigured")
-        if self.delivery_ratio < min_delivery:
-            raise SoakError(
-                "delivery ratio %.3f under the %.3f floor despite a spared path"
-                % (self.delivery_ratio, min_delivery))
-        if not self.overlay_drained:
-            raise SoakError("fault overlay still active after the horizon")
-        if self.faults_lifted > self.faults_applied:
-            raise SoakError("lifted more fault windows than were applied")
 
 
 def run_chaos_soak(

@@ -25,7 +25,7 @@ scalar summary row the fleet report prints.
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..determinism import derive_seed, seeded_rng
@@ -63,11 +63,6 @@ class VehicleSpec:
     #: Whether this vehicle streams under a seeded random fault plan.
     faulted: bool = False
     fault_seed: int = 0
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["location"] = list(self.location)
-        return d
 
 
 def _lite_payload(spec: VehicleSpec, config) -> dict:

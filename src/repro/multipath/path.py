@@ -252,9 +252,6 @@ class PathManager:
     def get(self, path_id: int) -> PathState:
         return self._paths[path_id]
 
-    def __len__(self) -> int:
-        return len(self._paths)
-
     def __iter__(self):
         return iter(self._sorted)
 

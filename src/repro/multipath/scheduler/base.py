@@ -36,6 +36,3 @@ class Scheduler:
         send takes a path out of service.
         """
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return "<%s scheduler>" % self.name

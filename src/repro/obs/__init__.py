@@ -11,10 +11,9 @@ from .aggregate import (
     STAGES,
     RunAggregate,
     decompose_spans,
-    observe_decomposition,
     worst_frames,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .spans import NULL_SPANS, NullSpanRecorder, Span, SpanRecorder
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from .timeline import DEFAULT_SAMPLE_INTERVAL, PathSample, PathTimelineSampler, sample_path
@@ -49,11 +48,9 @@ __all__ = [
     "RunAggregate",
     "STAGES",
     "decompose_spans",
-    "observe_decomposition",
     "worst_frames",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "TraceBuffer",
     "TraceEvent",

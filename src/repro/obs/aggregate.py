@@ -33,7 +33,6 @@ from .metrics import MetricsRegistry
 __all__ = [
     "STAGES",
     "decompose_spans",
-    "observe_decomposition",
     "worst_frames",
     "RunAggregate",
 ]
@@ -108,27 +107,6 @@ def decompose_spans(spans) -> List[dict]:
     return out
 
 
-def observe_decomposition(metrics: MetricsRegistry, decomposition: Iterable[dict]) -> int:
-    """Record stage splits into ``delay.frame`` / ``stage.*`` histograms.
-
-    Returns the number of completed frames folded in.  Incomplete frames
-    are counted (``frames.incomplete``) but never pollute the delay
-    distributions — a truncated frame has no meaningful stage split.
-    """
-    folded = 0
-    for entry in decomposition:
-        if not entry.get("complete") or "flight" not in entry:
-            metrics.count("frames.incomplete")
-            continue
-        folded += 1
-        metrics.observe("delay.frame", entry["total"])
-        for stage in STAGES:
-            metrics.observe("stage.%s" % stage, entry[stage])
-        if entry.get("retx"):
-            metrics.count("frames.with_retx")
-    return folded
-
-
 def worst_frames(decomposition: Iterable[dict], k: int = 5) -> List[dict]:
     """The ``k`` completed frames with the largest total delay."""
     done = [e for e in decomposition if e.get("complete") and "flight" in e]
@@ -140,8 +118,7 @@ class RunAggregate:
     """Mergeable summary of one or many streaming runs.
 
     Construction is cheap and empty; :meth:`add_result` folds a
-    :class:`~repro.experiments.runner.StreamRunResult` in (using its
-    span recorder for stage decomposition when one is attached), and
+    :class:`~repro.experiments.runner.StreamRunResult` in, and
     :meth:`merge` folds another aggregate.  Both operations commute and
     associate, so shard-then-merge equals one global pass.
     """
@@ -159,7 +136,7 @@ class RunAggregate:
     # -- folding ----------------------------------------------------------
 
     def add_result(self, result, censor_penalty: Optional[float] = 1.0) -> "RunAggregate":
-        """Fold one StreamRunResult (and its spans, when recorded) in."""
+        """Fold one StreamRunResult in."""
         self.runs += 1
         label = getattr(result, "transport", "")
         if label and label not in self.labels:
@@ -174,10 +151,6 @@ class RunAggregate:
         delays = (result.censored_packet_delays(censor_penalty)
                   if censor_penalty is not None else result.packet_delays)
         self.metrics.observe_many("delay.packet", delays)
-        tel = getattr(result, "telemetry", None)
-        if tel is not None and tel.enabled and tel.spans.enabled:
-            observe_decomposition(self.metrics,
-                                  decompose_spans(tel.spans))
         return self
 
     def merge(self, other: "RunAggregate") -> "RunAggregate":
@@ -203,29 +176,7 @@ class RunAggregate:
         return (self.packets_received / self.packets_sent
                 if self.packets_sent else 0.0)
 
-    def status_rate(self, status: str) -> float:
-        total = sum(self.frame_status.values())
-        return self.frame_status.get(status, 0) / total if total else 0.0
-
-    def delay_percentiles(self, name: str = "delay.packet") -> Dict[str, float]:
-        h = self.metrics._histograms.get(name)
-        return h.percentiles() if h is not None else {}
-
     # -- (de)serialisation -------------------------------------------------
-
-    def as_dict(self) -> dict:
-        return {
-            "type": "aggregate",
-            "labels": list(self.labels),
-            "runs": self.runs,
-            "duration": self.duration,
-            "frames_sent": self.frames_sent,
-            "frame_status": dict(sorted(self.frame_status.items())),
-            "packets_sent": self.packets_sent,
-            "packets_received": self.packets_received,
-            "delivery_ratio": self.delivery_ratio,
-            "metrics": self.metrics.snapshot(),
-        }
 
     def state_dict(self) -> dict:
         """Exact, mergeable state (lossless histograms, JSON-safe).

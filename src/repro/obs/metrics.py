@@ -1,12 +1,8 @@
 """Zero-dependency metrics primitives keyed on the simulation clock.
 
-Three instrument kinds, mirroring the conventional counter/gauge/histogram
-trio but timestamped with *simulation* time (the registry is handed a
-clock callable, normally ``lambda: loop.now``), so exported metrics line
-up with trace events and path-timeline samples from the same run:
+Two instrument kinds, the conventional counter and histogram:
 
 * :class:`Counter` — monotonically increasing event count;
-* :class:`Gauge` — last-written value plus the sim time it was written;
 * :class:`Histogram` — log-bucketed value distribution with p50/p95/p99
   estimation.  Buckets grow geometrically (HdrHistogram-style), so
   recording is O(1) and quantile estimates carry a bounded *relative*
@@ -69,48 +65,6 @@ class Counter:
         c = cls(state["name"])
         c.value = int(state["value"])
         return c
-
-
-class Gauge:
-    """Last-value instrument with the sim time of the last write."""
-
-    __slots__ = ("name", "value", "updated_at")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.updated_at = 0.0
-
-    def set(self, value: float, now: float) -> None:
-        self.value = value
-        self.updated_at = now
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Fold another gauge in: the later sim-time write wins."""
-        if other.updated_at > self.updated_at:
-            self.value = other.value
-            self.updated_at = other.updated_at
-        return self
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": "gauge",
-            "value": self.value,
-            "updated_at": self.updated_at,
-        }
-
-    def state_dict(self) -> dict:
-        """Exact state for cross-process shipping (see Histogram)."""
-        return {"name": self.name, "value": self.value,
-                "updated_at": self.updated_at}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "Gauge":
-        g = cls(state["name"])
-        g.value = float(state["value"])
-        g.updated_at = float(state["updated_at"])
-        return g
 
 
 class Histogram:
@@ -291,14 +245,13 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create home for every instrument in one run.
 
-    The ``clock`` callable supplies simulation time for gauge writes, so
-    callers never pass ``now`` explicitly on the hot path.
+    ``clock`` is the run's simulation clock (``Telemetry.bind_clock``
+    points it at the loop); no instrument reads it.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock = clock or (lambda: 0.0)
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -306,12 +259,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str, growth: float = DEFAULT_GROWTH) -> Histogram:
         h = self._histograms.get(name)
@@ -330,9 +277,6 @@ class MetricsRegistry:
     def observe_many(self, name: str, values) -> None:
         self.histogram(name).record_many(values)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value, self.clock())
-
     # -- fleet rollup ----------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
@@ -344,8 +288,6 @@ class MetricsRegistry:
         """
         for name, c in other._counters.items():
             self.counter(name).merge(c)
-        for name, g in other._gauges.items():
-            self.gauge(name).merge(g)
         for name, h in other._histograms.items():
             mine = self._histograms.get(name)
             if mine is None:
@@ -359,7 +301,7 @@ class MetricsRegistry:
     def snapshot(self) -> List[dict]:
         """Every instrument as a serialisable dict, names sorted."""
         out: List[dict] = []
-        for store in (self._counters, self._gauges, self._histograms):
+        for store in (self._counters, self._histograms):
             for name in sorted(store):
                 out.append(store[name].as_dict())
         return out
@@ -370,12 +312,12 @@ class MetricsRegistry:
         JSON-safe and byte-stable (sorted names); ``from_state`` round
         trips it so registries can cross process boundaries and still
         merge exactly — the contract the fleet runner's shard workers
-        rely on."""
+        rely on.  ``gauges`` stays, always empty, because the fleet
+        report digest hashes this document."""
         return {
             "counters": [self._counters[n].state_dict()
                          for n in sorted(self._counters)],
-            "gauges": [self._gauges[n].state_dict()
-                       for n in sorted(self._gauges)],
+            "gauges": [],
             "histograms": [self._histograms[n].state_dict()
                            for n in sorted(self._histograms)],
         }
@@ -386,9 +328,6 @@ class MetricsRegistry:
         for s in state.get("counters", ()):
             c = Counter.from_state(s)
             reg._counters[c.name] = c
-        for s in state.get("gauges", ()):
-            g = Gauge.from_state(s)
-            reg._gauges[g.name] = g
         for s in state.get("histograms", ()):
             h = Histogram.from_state(s)
             reg._histograms[h.name] = h

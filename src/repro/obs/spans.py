@@ -108,10 +108,6 @@ class Span:
         self.attrs = attrs
 
     @property
-    def closed(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 
@@ -128,9 +124,6 @@ class Span:
         if self.attrs:
             d.update(self.attrs)
         return d
-
-    def __repr__(self) -> str:  # debugging aid only
-        return "Span(%r)" % (self.as_dict(),)
 
 
 class SpanRecorder:
@@ -157,13 +150,6 @@ class SpanRecorder:
         self.dropped = 0
 
     # -- core lifecycle ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    @property
-    def open_count(self) -> int:
-        return len(self._open)
 
     def open(self, name: str, t: float, parent: int = 0, **attrs) -> int:
         """Open a span; returns its id (0 when dropped at capacity)."""
@@ -250,12 +236,6 @@ class SpanRecorder:
     def children(self, span_id: int) -> List[Span]:
         """Direct containment children of a span, in id order."""
         return [s for s in self.spans() if s.parent_id == span_id]
-
-    def counts_by_name(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for span in self._spans.values():
-            out[span.name] = out.get(span.name, 0) + 1
-        return out
 
     # -- export ------------------------------------------------------------
 
@@ -346,7 +326,6 @@ class NullSpanRecorder:
     enabled = False
     opened = 0
     dropped = 0
-    open_count = 0
     capacity = 0
 
     def __len__(self) -> int:
@@ -381,9 +360,6 @@ class NullSpanRecorder:
 
     def children(self, span_id) -> List[Span]:
         return []
-
-    def counts_by_name(self) -> Dict[str, int]:
-        return {}
 
     def records(self) -> Iterator[dict]:
         return iter(())

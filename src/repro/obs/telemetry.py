@@ -3,8 +3,7 @@
 One :class:`Telemetry` object per run bundles the three data kinds the
 evaluation needs:
 
-* **metrics** — counters/gauges/histograms in a :class:`MetricsRegistry`
-  keyed on the sim clock;
+* **metrics** — counters and histograms in a :class:`MetricsRegistry`;
 * **trace** — the ring-buffered packet-lifecycle event stream;
 * **timelines** — per-path :class:`PathSample` series from the periodic
   sampler (plus terminal stats-dataclass snapshots under ``stats``).
@@ -82,9 +81,6 @@ class Telemetry:
 
     def observe_many(self, name: str, values) -> None:
         self.metrics.observe_many(name, values)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.metrics.set_gauge(name, value)
 
     # -- timeline sampling -------------------------------------------------------
 
@@ -243,9 +239,6 @@ class NullTelemetry:
         pass
 
     def observe_many(self, name, values) -> None:
-        pass
-
-    def set_gauge(self, name, value) -> None:
         pass
 
     def start_sampling(self, loop, paths, emulator=None, interval=None) -> None:

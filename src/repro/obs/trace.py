@@ -88,9 +88,6 @@ class TraceEvent:
             d.update(self.attrs)
         return d
 
-    def __repr__(self) -> str:  # debugging aid only
-        return "TraceEvent(%r)" % (self.as_dict(),)
-
 
 class TraceBuffer:
     """Bounded ring of :class:`TraceEvent`, oldest evicted first."""
@@ -124,26 +121,6 @@ class TraceBuffer:
         if kind is None:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
-
-    def for_packet(self, packet_id: int) -> List[TraceEvent]:
-        """Every buffered event about one application packet ID.
-
-        Range-level events (``range_formed`` / ``recovery_tx``) carry a
-        ``count`` attribute and match any ID inside their span.
-        """
-        out = []
-        for e in self._events:
-            if e.packet_id == packet_id:
-                out.append(e)
-                continue
-            if e.attrs and "count" in e.attrs and e.packet_id >= 0:
-                if e.packet_id <= packet_id < e.packet_id + e.attrs["count"]:
-                    out.append(e)
-        return out
-
-    def lifecycle(self, packet_id: int) -> List[str]:
-        """The ordered kinds one packet went through (for assertions)."""
-        return [e.kind for e in self.for_packet(packet_id)]
 
     def counts_by_kind(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

@@ -33,14 +33,6 @@ class AckRangeTracker:
         self.largest_recv_time: float = 0.0
         self._dirty = False
 
-    @property
-    def has_unacked(self) -> bool:
-        """True when new packet numbers arrived since the last ACK emit."""
-        return self._dirty
-
-    def range_count(self) -> int:
-        return len(self._ranges)
-
     def on_received(self, packet_number: int, now: float) -> bool:
         """Record one packet number; returns False for duplicates."""
         if packet_number < 0:
@@ -81,14 +73,6 @@ class AckRangeTracker:
         self._dirty = True
         return True
 
-    def is_received(self, packet_number: int) -> bool:
-        for low, high in self._ranges:
-            if low <= packet_number <= high:
-                return True
-            if low > packet_number:
-                return False
-        return False
-
     def build_ack(self, now: float, force: bool = False) -> Optional[AckFrame]:
         """Emit an ACK frame covering the newest ranges, highest first."""
         if not self._ranges:
@@ -104,12 +88,3 @@ class AckRangeTracker:
             ack_delay=ack_delay,
             ranges=tuple(newest_first),
         )
-
-    def forget_below(self, packet_number: int) -> None:
-        """Drop state for old packet numbers (keeps the tracker bounded)."""
-        kept = []
-        for low, high in self._ranges:
-            if high < packet_number:
-                continue
-            kept.append([max(low, packet_number), high])
-        self._ranges = kept

@@ -70,11 +70,6 @@ class CongestionController:
         self.lost_bytes += size
         self._lost(size, now)
 
-    def on_expired(self, size: int) -> None:
-        """Forget bytes that will never be acked nor declared lost again
-        (XNC recovery packets are fire-and-forget)."""
-        self.bytes_in_flight = max(0, self.bytes_in_flight - size)
-
     # -- controller hooks ----------------------------------------------------
 
     def _sent(self, size: int, now: float) -> None:

@@ -53,12 +53,6 @@ class AckFrame:
         # type + largest + delay + count + first range + (gap, len) pairs
         return 8 + 4 * max(0, len(self.ranges) - 1) * 2
 
-    def acked_numbers(self) -> List[int]:
-        out: List[int] = []
-        for low, high in self.ranges:
-            out.extend(range(low, high + 1))
-        return out
-
 
 @dataclass(frozen=True)
 class PingFrame:
@@ -80,18 +74,3 @@ class QuicPacket:
     sent_time: float = 0.0
     connection_id: int = 0
     uid: int = field(default_factory=lambda: next(_packet_counter))
-
-    @property
-    def wire_size(self) -> int:
-        """Total bytes on the wire including IP/UDP/QUIC headers."""
-        return TUNNEL_OVERHEAD + sum(f.wire_size for f in self.frames)
-
-    @property
-    def is_ack_eliciting(self) -> bool:
-        return any(not isinstance(f, AckFrame) for f in self.frames)
-
-    def ack_frames(self) -> List[AckFrame]:
-        return [f for f in self.frames if isinstance(f, AckFrame)]
-
-    def xnc_frames(self) -> List[XncNcFrame]:
-        return [f for f in self.frames if isinstance(f, XncNcFrame)]

@@ -40,10 +40,6 @@ class RttEstimator:
         self.smoothed_rtt = self.initial_rtt
         self.rtt_var = self.initial_rtt / 2
 
-    @property
-    def has_samples(self) -> bool:
-        return self.samples > 0
-
     def update(self, rtt_sample: float, ack_delay: float = 0.0) -> None:
         """Fold one RTT sample in (RFC 9002 §5.3)."""
         if rtt_sample <= 0:

@@ -371,13 +371,6 @@ class ProtocolSanitizer:
 
     # -- reporting -------------------------------------------------------------------
 
-    def stats_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "checks_run": self.checks_run,
-            "violations": self.violations,
-        }
-
 
 def sanitizer_or_default(explicit=None, label: str = ""):
     """Resolve an endpoint's sanitizer.

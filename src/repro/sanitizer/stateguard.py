@@ -101,11 +101,6 @@ def register_global(module: str, attr: str, policy: str,
     return entry
 
 
-def unregister_global(module: str, attr: str) -> None:
-    """Drop a registration (test teardown)."""
-    _REGISTRY.pop((module, attr), None)
-
-
 def registered_globals() -> List[GuardedGlobal]:
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 

@@ -21,7 +21,6 @@ from .oracles import (
     Oracle,
     OracleVerdict,
     OracleViolation,
-    assert_oracles,
     evaluate_oracles,
 )
 from .zoo import (
@@ -48,7 +47,6 @@ __all__ = [
     "Oracle",
     "OracleVerdict",
     "OracleViolation",
-    "assert_oracles",
     "evaluate_oracles",
     "SCENARIOS",
     "Scenario",

@@ -82,20 +82,6 @@ class CampaignOutcome:
     #: Where the replayable artifact was written, when it was.
     artifact_path: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "transport": self.transport,
-            "duration": self.duration,
-            "executions": self.executions,
-            "failed": self.failed,
-            "failing_plans_seen": self.failing_plans_seen,
-            "minimal_events": (len(self.minimal_plan)
-                               if self.minimal_plan is not None else 0),
-            "minimal_verdicts": [v.as_dict() for v in self.minimal_verdicts],
-            "artifact_path": self.artifact_path,
-        }
-
 
 def fault_plan_strategy(
     duration: float,

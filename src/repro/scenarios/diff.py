@@ -17,7 +17,7 @@ the zoo scenarios on the default transport.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .oracles import OracleVerdict
 from .zoo import Scenario, ScenarioResult, get_scenario, run_scenario
@@ -53,28 +53,10 @@ class DiffMatrix:
     duration: float
     results: List[ScenarioResult] = field(default_factory=list)
 
-    @property
-    def transports(self) -> Tuple[str, ...]:
-        return tuple(r.transport for r in self.results)
-
     def verdict_grid(self) -> Dict[str, Dict[str, OracleVerdict]]:
         """``{transport: {oracle: verdict}}`` for matrix rendering."""
         return {r.transport: {v.oracle: v for v in r.verdicts}
                 for r in self.results}
-
-    def passed(self, transport: str) -> bool:
-        for r in self.results:
-            if r.transport == transport:
-                return r.passed
-        raise KeyError(transport)
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "duration": self.duration,
-            "results": [r.as_dict() for r in self.results],
-        }
 
 
 def run_diff(

@@ -20,8 +20,8 @@ oracle             property
 ================== =======================================================
 
 Oracles never raise on their own — :func:`evaluate_oracles` returns one
-:class:`OracleVerdict` per oracle and :func:`assert_oracles` turns any
-failure into an :class:`OracleViolation` whose message names the oracle.
+:class:`OracleVerdict` per oracle; the chaos campaign turns a failing
+verdict into an :class:`OracleViolation` whose message names the oracle.
 Every verdict is derived only from the report/plan/expectations triple,
 so a verdict set is as deterministic as the soak that produced it.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "ORACLES",
     "ORACLE_NAMES",
     "evaluate_oracles",
-    "assert_oracles",
 ]
 
 #: Health states that keep a path schedulable (see docs/robustness.md).
@@ -216,26 +215,8 @@ def evaluate_oracles(
     """Evaluate every registered oracle (plus ``extra_oracles``) once.
 
     Returns one verdict per oracle, registry order first; nothing is
-    raised — see :func:`assert_oracles` for the raising form.
+    raised.
     """
     exp = expectations or Expectations()
     oracles = tuple(ORACLES) + tuple(extra_oracles)
     return [o.evaluate(report, plan, exp) for o in oracles]
-
-
-def assert_oracles(
-    report,
-    plan: Optional[FaultPlan],
-    expectations: Optional[Expectations] = None,
-    extra_oracles: Sequence[Oracle] = (),
-) -> List[OracleVerdict]:
-    """Evaluate all oracles and raise :class:`OracleViolation` on failure.
-
-    Returns the full verdict list when everything held.
-    """
-    verdicts = evaluate_oracles(report, plan, expectations, extra_oracles)
-    bad = [v for v in verdicts if not v.ok]
-    if bad:
-        raise OracleViolation("; ".join(
-            "%s: %s" % (v.oracle, v.detail) for v in bad))
-    return verdicts

@@ -87,19 +87,6 @@ class ScenarioResult:
     def failures(self) -> List[OracleVerdict]:
         return [v for v in self.verdicts if not v.ok]
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "transport": self.transport,
-            "duration": self.duration,
-            "passed": self.passed,
-            "digest": self.digest,
-            "delivery_ratio": self.report.delivery_ratio,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "extras": self.extras,
-        }
-
 
 # -- plan builders ----------------------------------------------------------
 #

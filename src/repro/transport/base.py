@@ -234,14 +234,6 @@ class TunnelClientBase:
         """
         return self._pump(payloads, frame_id)
 
-    @property
-    def backlog_packets(self) -> int:
-        return len(self._queue)
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self._queue_bytes
-
     # -- subclass hooks --------------------------------------------------
 
     #: Retransmission backlog sent ahead of fresh data (``_drain_retx``);
@@ -694,9 +686,6 @@ class TunnelClientBase:
         self._timer.stop()
 
     # -- introspection ---------------------------------------------------------
-
-    def in_flight_infos(self, path_id: int) -> List[SentInfo]:
-        return [i for i in self._sent[path_id].values() if not i.acked and not i.cc_lost]
 
 
 class TunnelServerBase:

@@ -3,7 +3,7 @@
 from .qoe import QoeReport, STALL_THRESHOLD, analyze_qoe
 from .receiver import FrameRecord, VideoReceiver
 from .rtp import RtpPacket, RtpPacketizer, sniff_frame_border, sniff_frame_id
-from .source import VideoConfig, VideoPacket, VideoSource, build_packet
+from .source import VideoConfig, VideoSource, build_packet
 
 __all__ = [
     "QoeReport",
@@ -16,7 +16,6 @@ __all__ = [
     "sniff_frame_id",
     "VideoReceiver",
     "VideoConfig",
-    "VideoPacket",
     "VideoSource",
     "build_packet",
 ]

@@ -65,13 +65,6 @@ class QoeReport:
     stall_time: float
     stall_events: int
 
-    def as_row(self) -> dict:
-        return {
-            "fps": round(self.avg_fps, 2),
-            "stall_ratio_pct": round(self.stall_ratio * 100, 2),
-            "ssim": round(self.ssim, 3),
-        }
-
 
 def _frame_status(record: FrameRecord) -> str:
     """normal / corrupt / missing, per the modified-ffmpeg classification."""

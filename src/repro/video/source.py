@@ -23,7 +23,6 @@ from ..obs import NULL_TELEMETRY
 __all__ = [
     "PACKET_HEADER",
     "VideoPacketError",
-    "VideoPacket",
     "parse_header",
     "build_packet",
     "VideoConfig",
@@ -42,23 +41,6 @@ DEFAULT_PACKET_PAYLOAD = 1200
 
 class VideoPacketError(Exception):
     """Malformed video packet payload."""
-
-
-@dataclass(frozen=True)
-class VideoPacket:
-    """One packetised slice of a video frame."""
-
-    frame_id: int
-    seq: int
-    count: int
-    keyframe: bool
-    capture_ts: float
-    payload: bytes
-
-    @classmethod
-    def parse(cls, data: bytes) -> "VideoPacket":
-        frame_id, seq, count, keyframe, ts = parse_header(data)
-        return cls(frame_id, seq, count, keyframe, ts, data)
 
 
 def parse_header(data: bytes) -> Tuple[int, int, int, bool, float]:

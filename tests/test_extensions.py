@@ -1,5 +1,7 @@
 """§10 future-work extensions: server migration and satellite fusion."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,24 @@ from repro.cloud.pop import PopNode
 from repro.emulation.cellular import (
     PROFILE_LEO_SAT,
     generate_cellular_trace,
-    generate_rural_traces,
     profile_for,
 )
 from repro.experiments.runner import run_single_link_stream, run_stream
 from repro.video.source import VideoConfig
+from tests.lintkit import REPO_ROOT
+
+
+def _rural_example():
+    """examples/rural_satellite.py, which builds the §10 rural trace mix."""
+    spec = importlib.util.spec_from_file_location(
+        "example_rural_satellite", REPO_ROOT / "examples" / "rural_satellite.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generate_rural_traces(duration, seed):
+    return _rural_example().rural_traces(duration, seed)
 
 
 def migration_world():

@@ -188,5 +188,6 @@ class TestMemoryBounds:
             loop.call_later(i * 0.003, client.send_app_packet, bytes(500))
         loop.run_until(15.0)
         # pool trimmed to the 2*t_expire horizon: far fewer than 3000 pooled
-        assert len(client.encoder) < 1200
-        assert client.encoder.pool_bytes() < 1200 * 520
+        pool = client.encoder._pool
+        assert len(pool) < 1200
+        assert sum(len(p.payload) for p in pool.values()) < 1200 * 520

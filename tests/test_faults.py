@@ -21,7 +21,6 @@ from repro.faults import (
     FaultPlan,
     FaultPlanBuilder,
     FaultPlanError,
-    SoakError,
     SoakReport,
     random_plan,
     run_chaos_soak,
@@ -42,6 +41,7 @@ from repro.obs import Telemetry
 from repro.obs import trace as ev
 from repro.quic.cc.base import CongestionController
 from repro.sanitizer import ProtocolSanitizer, SanitizerViolation
+from repro.scenarios import evaluate_oracles
 
 
 def make_trace(name, rate, duration, loss=None, base_delay=0.01):
@@ -141,7 +141,7 @@ class TestPlanValidation:
     def test_save_load(self, tmp_path):
         plan = FaultPlanBuilder().pop_handover(3.0, outage=0.2).build()
         p = tmp_path / "plan.json"
-        plan.save(str(p))
+        p.write_text(plan.to_json())
         assert FaultPlan.load(str(p)).horizon == plan.horizon
 
     def test_random_plan_spares_last_path(self):
@@ -155,52 +155,6 @@ class TestPlanValidation:
         b = random_plan(11, 12.0)
         assert [e.as_dict() for e in a] == [e.as_dict() for e in b]
         assert [e.as_dict() for e in random_plan(12, 12.0)] != [e.as_dict() for e in a]
-
-
-class TestRandomPlanWeights:
-    """The weighted drawing mode: full kind coverage, always-valid plans."""
-
-    def test_all_ten_kinds_reachable(self):
-        # the default mix appends nat_rebind/pop_handover as a fixed
-        # tail; the weighted mode must reach every kind organically
-        seen = set()
-        uniform = {k: 1.0 for k in FAULT_KINDS}
-        for seed in range(40):
-            plan = random_plan(seed, 10.0, weights=uniform)
-            plan.validate(path_count=4)
-            seen.update(e.kind for e in plan)
-            if seen == set(FAULT_KINDS):
-                break
-        assert seen == set(FAULT_KINDS)
-
-    def test_weights_steer_coverage(self):
-        plan = random_plan(1, 10.0, weights={"reorder": 3.0, "duplicate": 1.0})
-        kinds = {e.kind for e in plan}
-        assert kinds <= {"reorder", "duplicate"} and plan
-
-    def test_weighted_plans_always_validate(self):
-        from hypothesis import HealthCheck, given, settings
-        from hypothesis import strategies as st
-
-        @given(
-            seed=st.integers(min_value=0, max_value=2**31),
-            path_count=st.integers(min_value=1, max_value=6),
-            duration=st.floats(min_value=1.5, max_value=20.0,
-                               allow_nan=False),
-            mass=st.dictionaries(st.sampled_from(FAULT_KINDS),
-                                 st.floats(min_value=0.1, max_value=5.0,
-                                           allow_nan=False),
-                                 min_size=1),
-        )
-        @settings(max_examples=60, deadline=None,
-                  suppress_health_check=[HealthCheck.too_slow])
-        def holds(seed, path_count, duration, mass):
-            plan = random_plan(seed, duration, path_count=path_count,
-                               weights=mass)
-            plan.validate(path_count=path_count)  # never raises
-            assert all(e.kind in mass for e in plan)
-
-        holds()
 
     def test_default_plans_always_validate(self):
         from hypothesis import HealthCheck, given, settings
@@ -219,27 +173,6 @@ class TestRandomPlanWeights:
             plan.validate(path_count=path_count)
 
         holds()
-
-    def test_weighted_mode_is_deterministic(self):
-        w = {"blackout": 1.0, "nat_rebind": 2.0}
-        a = random_plan(9, 8.0, weights=w)
-        b = random_plan(9, 8.0, weights=w)
-        assert [e.as_dict() for e in a] == [e.as_dict() for e in b]
-
-    def test_weight_validation(self):
-        with pytest.raises(FaultPlanError):
-            random_plan(1, 5.0, weights={"not-a-kind": 1.0})
-        with pytest.raises(FaultPlanError):
-            random_plan(1, 5.0, weights={"blackout": -1.0})
-        with pytest.raises(FaultPlanError):
-            random_plan(1, 5.0, weights={"blackout": 0.0})
-
-    def test_spare_path_respected_in_weighted_mode(self):
-        from repro.faults.plan import DESTRUCTIVE_KINDS
-
-        plan = random_plan(2, 20.0, path_count=4,
-                           weights={k: 1.0 for k in DESTRUCTIVE_KINDS})
-        assert plan and all(e.path_id != 3 for e in plan)
 
 
 class TestFaultEffects:
@@ -365,31 +298,16 @@ class TestFaultEffects:
         assert inj.active_count() == 0
         assert emu.channels[0].uplink.fault is None, "overlay must drain to None"
 
-    def test_nat_rebind_flushes_registered_tables(self):
-        loop, emu, _ = two_path_world()
-        nat = SnatTable("203.0.113.1")
-        nat.translate(17, "10.64.0.2", 5000)
-        nat.translate(17, "10.64.0.3", 5000)
-        inj = FaultInjector(loop, emu, FaultPlanBuilder().nat_rebind(1.0).build())
-        inj.register_nat(nat)
-        inj.arm()
-        loop.run_until(2.0)
-        assert len(nat) == 0 and nat.flushes == 1
-        assert inj.nat_flushes == 1
-
     def test_pop_handover_blacks_out_everything_and_flushes(self):
         loop, emu, received = two_path_world()
         steady_sender(loop, emu, 0, 4.0)
         steady_sender(loop, emu, 1, 4.0)
-        nat = SnatTable("203.0.113.1")
-        nat.translate(17, "10.64.0.2", 5000)
         inj = FaultInjector(loop, emu, FaultPlanBuilder().pop_handover(2.0, outage=0.5).build())
-        inj.register_nat(nat)
         inj.arm()
         loop.run_until(5.0)
         assert not [r for r in received if 2.1 < r[2] < 2.4], "handover outage on all paths"
         assert any(r[2] > 3.0 for r in received), "service resumes after handover"
-        assert nat.flushes == 1
+        assert inj.nat_flushes == 1
 
     def test_fault_telemetry_emitted(self):
         loop, emu, _ = two_path_world()
@@ -604,27 +522,10 @@ class TestSnatIdleExpiry:
         assert nat.evictions == 4
         assert len(nat) == 1
 
-    def test_reverse_traffic_keeps_mapping_alive(self):
-        nat = SnatTable("198.51.100.7", port_count=2, idle_timeout=5.0)
-        _ip, port = nat.translate(17, "10.64.0.2", 6000, now=0.0)
-        nat.reverse(17, port, now=4.0)  # return traffic refreshes the stamp
-        assert nat.expire_idle(8.0) == 0, "refreshed entry must survive"
-        assert nat.expire_idle(10.0) == 1
-
     def test_no_timeout_means_no_expiry(self):
         nat = SnatTable("198.51.100.7", port_count=2)
         nat.translate(17, "10.64.0.2", 6000, now=0.0)
         assert nat.expire_idle(1e9) == 0
-
-    def test_flush_counts_and_empties(self):
-        nat = SnatTable("198.51.100.7")
-        nat.translate(17, "10.64.0.2", 6000)
-        nat.translate(17, "10.64.0.3", 6000)
-        assert nat.flush() == 2
-        assert len(nat) == 0 and nat.flushes == 1
-        # ports are reusable afterwards
-        nat.translate(17, "10.64.0.4", 6000)
-        assert len(nat) == 1
 
 
 class TestWatchdogAndSoak:
@@ -691,15 +592,11 @@ class TestWatchdogAndSoak:
         r2 = run_chaos_soak(5, duration=5.0)
         assert isinstance(r1, SoakReport)
         assert r1.digest == r2.digest, "same seed must be byte-identical"
-        r1.assert_healthy()
+        assert all(v.ok for v in evaluate_oracles(r1, r1.plan))
         r3 = run_chaos_soak(6, duration=5.0)
         assert r3.digest != r1.digest, "different seed should differ"
 
     def test_chaos_soak_under_sanitizer(self):
         report = run_chaos_soak(2, duration=4.0, sanitize=True)
-        report.assert_healthy()
+        assert all(v.ok for v in evaluate_oracles(report, report.plan))
         assert report.faults_applied >= report.faults_lifted
-        # an unhealthy outcome is a loud, named failure
-        report.overlay_drained = False
-        with pytest.raises(SoakError, match="overlay still active"):
-            report.assert_healthy()

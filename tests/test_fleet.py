@@ -118,7 +118,7 @@ class TestPlanFleet:
     def test_plan_deterministic(self):
         a = plan_fleet(lite(vehicles=25))
         b = plan_fleet(lite(vehicles=25))
-        assert [s.as_dict() for s in a.vehicles] == [s.as_dict() for s in b.vehicles]
+        assert a.vehicles == b.vehicles
         assert a.control == b.control
 
 
@@ -141,8 +141,8 @@ class TestSimulateVehicle:
         assert agg.runs == 1
         assert agg.packets_sent == p["packets_sent"]
         # e2e histogram carries the access-delay shift
-        pct = agg.delay_percentiles("delay.e2e")
-        assert pct["p50"] >= agg.delay_percentiles("delay.packet")["p50"]
+        e2e = agg.metrics.histogram("delay.e2e").percentiles()
+        assert e2e["p50"] >= agg.metrics.histogram("delay.packet").percentiles()["p50"]
 
     def test_lite_is_pure(self):
         a = simulate_vehicle(self._spec(3), lite())

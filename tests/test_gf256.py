@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from repro.core import gf256
 from repro.core.gf256 import (
-    gf_add,
     gf_addmul_scalar_buffer,
     gf_addmul_vec,
-    gf_div,
     gf_inv,
     gf_matrix_rank,
     gf_mul,
     gf_mul_scalar_buffer,
     gf_mul_vec,
-    gf_pow,
-    gf_solve,
 )
 
 elements = st.integers(min_value=0, max_value=255)
@@ -25,9 +21,6 @@ nonzero = st.integers(min_value=1, max_value=255)
 
 
 class TestScalarField:
-    def test_add_is_xor(self):
-        assert gf_add(0b1010, 0b0110) == 0b1100
-
     def test_mul_zero(self):
         for a in range(256):
             assert gf_mul(a, 0) == 0
@@ -46,26 +39,9 @@ class TestScalarField:
         with pytest.raises(ZeroDivisionError):
             gf_inv(0)
 
-    def test_div_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            gf_div(5, 0)
-
     def test_all_inverses(self):
         for a in range(1, 256):
             assert gf_mul(a, gf_inv(a)) == 1
-
-    def test_pow_basics(self):
-        assert gf_pow(0, 0) == 1
-        assert gf_pow(0, 5) == 0
-        assert gf_pow(7, 1) == 7
-        assert gf_pow(3, 255) == 1  # generator order divides 255
-
-    def test_pow_matches_repeated_mul(self):
-        for a in (2, 3, 29, 200):
-            acc = 1
-            for n in range(8):
-                assert gf_pow(a, n) == acc
-                acc = gf_mul(acc, a)
 
     @given(elements, elements)
     def test_mul_commutative(self, a, b):
@@ -77,11 +53,8 @@ class TestScalarField:
 
     @given(elements, elements, elements)
     def test_distributive(self, a, b, c):
-        assert gf_mul(a, gf_add(b, c)) == gf_add(gf_mul(a, b), gf_mul(a, c))
-
-    @given(elements, nonzero)
-    def test_div_inverts_mul(self, a, b):
-        assert gf_div(gf_mul(a, b), b) == a
+        # addition in GF(2^8) is XOR
+        assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
 
 
 class TestVectorKernels:
@@ -154,43 +127,6 @@ class TestLinearAlgebra:
             if gf_matrix_rank(m) == 8:
                 full += 1
         assert full >= 45  # random GF(256) matrices are almost surely full rank
-
-    def test_solve_roundtrip(self):
-        rng = np.random.default_rng(5)
-        n, width = 6, 40
-        x = rng.integers(0, 256, (n, width), dtype=np.uint8)
-        a = rng.integers(1, 256, (n, n), dtype=np.uint8)
-        while gf_matrix_rank(a) < n:
-            a = rng.integers(1, 256, (n, n), dtype=np.uint8)
-        # rhs_i = sum_j a[i,j] * x[j]
-        rhs = np.zeros((n, width), dtype=np.uint8)
-        for i in range(n):
-            for j in range(n):
-                gf_addmul_vec(rhs[i], x[j], int(a[i, j]))
-        solved = gf_solve(a, rhs)
-        assert np.array_equal(solved, x)
-
-    def test_solve_overdetermined(self):
-        rng = np.random.default_rng(6)
-        n, extra, width = 4, 3, 10
-        x = rng.integers(0, 256, (n, width), dtype=np.uint8)
-        a = rng.integers(1, 256, (n + extra, n), dtype=np.uint8)
-        rhs = np.zeros((n + extra, width), dtype=np.uint8)
-        for i in range(n + extra):
-            for j in range(n):
-                gf_addmul_vec(rhs[i], x[j], int(a[i, j]))
-        solved = gf_solve(a, rhs)
-        assert np.array_equal(solved, x)
-
-    def test_solve_singular_raises(self):
-        a = np.array([[1, 2], [1, 2], [2, 4]], dtype=np.uint8)
-        rhs = np.zeros((3, 4), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            gf_solve(a, rhs)
-
-    def test_solve_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            gf_solve(np.eye(2, dtype=np.uint8), np.zeros((3, 4), dtype=np.uint8))
 
 
 class TestTables:

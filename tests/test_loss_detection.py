@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.loss_detection import (
-    LossDetector,
-    QoeLossPolicy,
-    SentPacketRecord,
-    pto_interval,
-)
+from repro.core.loss_detection import QoeLossPolicy, pto_interval
 
 
 class TestPtoInterval:
@@ -44,61 +39,3 @@ class TestQoePolicy:
         pto = QoeLossPolicy(app_threshold=None)
         for srtt, var in ((0.05, 0.01), (0.2, 0.05), (0.5, 0.2)):
             assert qoe.threshold(srtt, var) <= pto.threshold(srtt, var)
-
-
-def record(pid, t, path=0, size=1200):
-    return SentPacketRecord(packet_id=pid, sent_time=t, path_id=path, size=size)
-
-
-class TestLossDetector:
-    def test_ack_removes(self):
-        det = LossDetector()
-        det.on_sent(record(1, 0.0))
-        assert len(det) == 1
-        assert det.on_acked(1) is not None
-        assert len(det) == 0
-        assert det.acked_count == 1
-
-    def test_late_ack_is_spurious(self):
-        det = LossDetector()
-        assert det.on_acked(99) is None
-        assert det.spurious_count == 1
-
-    def test_detect_past_threshold(self):
-        det = LossDetector(QoeLossPolicy(app_threshold=0.05))
-        det.on_sent(record(1, 0.0))
-        det.on_sent(record(2, 0.04))
-        lost = det.detect(now=0.055, path_rtt={0: (0.2, 0.05)})
-        assert [r.packet_id for r in lost] == [1]
-        assert det.lost_count == 1
-        # packet 2 still in flight
-        assert len(det) == 1
-
-    def test_detect_uses_per_path_rtt(self):
-        det = LossDetector(QoeLossPolicy(app_threshold=1.0))
-        det.on_sent(record(1, 0.0, path=0))
-        det.on_sent(record(2, 0.0, path=1))
-        # path 0 has tiny PTO, path 1 a huge one
-        lost = det.detect(now=0.1, path_rtt={0: (0.01, 0.001), 1: (0.5, 0.2)})
-        assert [r.packet_id for r in lost] == [1]
-
-    def test_unknown_path_uses_initial_rtt(self):
-        det = LossDetector(QoeLossPolicy(app_threshold=None))
-        det.on_sent(record(1, 0.0, path=9))
-        assert det.detect(now=0.01, path_rtt={}) == []
-
-    def test_next_deadline(self):
-        det = LossDetector(QoeLossPolicy(app_threshold=0.05))
-        assert det.next_deadline({}) is None
-        det.on_sent(record(1, 1.0))
-        det.on_sent(record(2, 2.0))
-        deadline = det.next_deadline({0: (0.2, 0.05)})
-        assert deadline == pytest.approx(1.05)
-
-    def test_in_flight_on_path(self):
-        det = LossDetector()
-        det.on_sent(record(1, 0.0, path=0))
-        det.on_sent(record(2, 0.0, path=0))
-        det.on_sent(record(3, 0.0, path=1))
-        assert det.in_flight_on_path(0) == 2
-        assert det.in_flight_on_path(1) == 1

@@ -3,10 +3,10 @@
 The fleet runner leans on :class:`repro.cloud.nat.SnatTable` under real
 port-pool pressure (auto-sized pools, UDP-style idle expiry, no explicit
 release on vehicle leave), so its invariants get adversarial coverage
-here: random interleavings of allocate / refresh / release / expire /
-flush / rebind must never double-assign a live public port, must keep
-forward and reverse maps exact mirrors, and exhaustion must recover as
-soon as idle mappings age out.  The state machine mirrors the table with
+here: random interleavings of allocate / refresh / release / expire
+must never double-assign a live public port, must keep every live flow
+on its port, and exhaustion must recover as soon as idle mappings age
+out.  The state machine mirrors the table with
 an exact model — including the lazy expiry translate() performs when it
 finds the pool full — so any divergence shrinks to a minimal op
 sequence.
@@ -68,19 +68,6 @@ class SnatMachine(RuleBasedStateMachine):
         self.model[key] = (public, self.now)
 
     @rule(flow=flows)
-    def refresh_via_reverse(self, flow):
-        ip, port = flow
-        key = (17, ip, port)
-        if key in self.model:
-            public = self.model[key][0]
-            assert self.table.reverse(17, public, now=self.now) == (ip, port)
-            self.model[key] = (public, self.now)
-        else:
-            # no live mapping for this flow: any port it *would* use must
-            # either be free or owned by some other live flow
-            pass
-
-    @rule(flow=flows)
     def release(self, flow):
         ip, port = flow
         self.table.release(17, ip, port)
@@ -98,11 +85,6 @@ class SnatMachine(RuleBasedStateMachine):
         for k in expired:
             del self.model[k]
 
-    @rule()
-    def flush(self):
-        self.table.flush()
-        self.model.clear()
-
     @invariant()
     def no_double_assigned_ports(self):
         if not hasattr(self, "model"):
@@ -117,7 +99,8 @@ class SnatMachine(RuleBasedStateMachine):
             return
         assert len(self.table) == len(self.model)
         for (proto, ip, port), (public, _) in self.model.items():
-            assert self.table.reverse(proto, public) == (ip, port)
+            # no ``now``: reads the mapping without refreshing its stamp
+            assert self.table.translate(proto, ip, port)[1] == public
 
     @invariant()
     def pool_never_overcommitted(self):
@@ -162,6 +145,6 @@ class TestExhaustionRecovery:
         a.expire_idle(5.0)  # eager
         a.translate(17, "10.64.0.2", 60000, now=5.0)
         b.translate(17, "10.64.0.2", 60000, now=5.0)  # lazy, inside translate
-        assert a.reverse(17, a.translate(17, "10.64.0.2", 60000, now=5.0)[1]) \
-            == b.reverse(17, b.translate(17, "10.64.0.2", 60000, now=5.0)[1])
+        assert a.translate(17, "10.64.0.2", 60000, now=5.0) \
+            == b.translate(17, "10.64.0.2", 60000, now=5.0)
         assert len(a) == len(b) == 1

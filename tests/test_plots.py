@@ -1,25 +1,6 @@
 """Terminal plot rendering."""
 
-import numpy as np
-import pytest
-
-from repro.analysis.plots import ascii_bars, ascii_cdf, ascii_series, frame_strip
-
-
-class TestSeries:
-    def test_renders_with_bounds(self):
-        out = ascii_series([1, 5, 3, 9], label="SINR")
-        assert "SINR" in out
-        assert "[1.00 .. 9.00]" in out
-        assert "#" in out
-
-    def test_empty(self):
-        assert "(no data)" in ascii_series([], label="x")
-
-    def test_downsamples_long_series(self):
-        out = ascii_series(np.sin(np.linspace(0, 10, 5000)), width=40)
-        longest = max(len(l) for l in out.splitlines())
-        assert longest <= 50
+from repro.analysis.plots import ascii_cdf
 
 
 class TestCdf:
@@ -34,27 +15,3 @@ class TestCdf:
     def test_empty(self):
         assert ascii_cdf({}) == "(no data)"
         assert ascii_cdf({"a": []}) == "(no data)"
-
-
-class TestBars:
-    def test_proportional(self):
-        out = ascii_bars({"xnc": 1.0, "re": 0.5}, width=20)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 20
-        assert lines[1].count("#") == 10
-
-    def test_unit_suffix(self):
-        out = ascii_bars({"a": 3.0}, unit="%")
-        assert "3.000%" in out
-
-    def test_empty(self):
-        assert ascii_bars({}) == "(no data)"
-
-
-class TestFrameStrip:
-    def test_glyphs(self):
-        assert frame_strip(["normal", "corrupt", "missing"]) == ".bX"
-
-    def test_truncation(self):
-        out = frame_strip(["normal"] * 200, width=50)
-        assert len(out) == 51 and out.endswith("…")

@@ -147,6 +147,6 @@ class TestEventLoopProperties:
         fired = []
         for t in times:
             loop.schedule(t, fired.append, t)
-        loop.run()
+        loop.run_until(100.0)
         assert fired == sorted(fired)
         assert len(fired) == len(times)

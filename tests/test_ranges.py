@@ -10,7 +10,6 @@ from repro.core.ranges import (
     RangePolicy,
     RetransmissionQueue,
     build_ranges,
-    drop_expired,
 )
 
 
@@ -27,18 +26,6 @@ class TestEncodeRange:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
             EncodeRange(0, 0, 0.0)
-
-    def test_expiry(self):
-        r = EncodeRange(0, 2, last_sent_time=1.0)
-        assert not r.is_expired(now=1.5, t_expire=0.7)
-        assert r.is_expired(now=1.8, t_expire=0.7)
-
-    def test_expiry_boundary_is_strict(self):
-        # §4.4.3: a range at age exactly t_expire is still recoverable;
-        # it expires strictly after (the sanitizer asserts the same edge)
-        r = EncodeRange(0, 2, last_sent_time=1.0)
-        assert not r.is_expired(now=1.7, t_expire=0.7)
-        assert r.is_expired(now=1.7 + 1e-9, t_expire=0.7)
 
 
 class TestRangePolicy:
@@ -132,15 +119,6 @@ class TestBuildRanges:
         assert len(covered) == len(set(covered))
 
 
-class TestDropExpired:
-    def test_split(self):
-        fresh = EncodeRange(0, 1, last_sent_time=10.0)
-        stale = EncodeRange(5, 1, last_sent_time=1.0)
-        live, expired = drop_expired([fresh, stale], now=10.2, t_expire=0.7)
-        assert live == [fresh]
-        assert expired == [stale]
-
-
 class TestRetransmissionQueue:
     def test_add_and_duplicate(self):
         q = RetransmissionQueue()
@@ -152,7 +130,7 @@ class TestRetransmissionQueue:
         q = RetransmissionQueue()
         q.add(lp(1, 0.0))
         q.discard(1)
-        assert not q.contains(1)
+        assert len(q) == 0
         q.discard(99)  # no-op
 
     def test_expire(self):
@@ -161,14 +139,14 @@ class TestRetransmissionQueue:
         q.add(lp(2, 0.4))
         stale = q.expire(now=0.6)
         assert [p.packet_id for p in stale] == [1]
-        assert q.contains(2)
+        assert len(q) == 1
         assert q.expired_packets == 1
 
     def test_expire_boundary_is_strict(self):
         q = RetransmissionQueue(RangePolicy(t_expire=0.5))
         q.add(lp(1, 0.0))
         assert q.expire(now=0.5) == []  # age == t_expire: kept
-        assert q.contains(1)
+        assert len(q) == 1
         assert [p.packet_id for p in q.expire(now=0.5 + 1e-9)] == [1]
 
     def test_ranges_with_expiry(self):

@@ -50,7 +50,7 @@ class TestEncoder:
         enc.register(5, b"abc")
         assert enc.contains(5)
         assert not enc.contains(4)
-        assert len(enc) == 1
+        assert len(enc._pool) == 1
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
@@ -69,12 +69,6 @@ class TestEncoder:
         enc.release_range(1, 3)
         assert enc.contains(0) and enc.contains(4)
         assert not any(enc.contains(i) for i in (1, 2, 3))
-
-    def test_pool_bytes(self):
-        enc = RlncEncoder()
-        enc.register(0, b"abc")
-        enc.register(1, b"de")
-        assert enc.pool_bytes() == 5
 
     def test_encode_unknown_packet_raises(self):
         enc = RlncEncoder()
@@ -181,9 +175,9 @@ class TestDecodeRoundtrip:
         register_all(enc, payloads)
         dec = RlncDecoder()
         dec.push(0, 4, 11, enc.encode(0, 4, 11))
-        before = dec.range_rank(0, 4)
+        before = dec._ranges[(0, 4)].rank
         dec.push(0, 4, 11, enc.encode(0, 4, 11))  # same seed = same equation
-        assert dec.range_rank(0, 4) == before
+        assert dec._ranges[(0, 4)].rank == before
         assert dec.stats.dependent_discarded >= 1
 
     def test_late_original_cross_feeds_open_range(self):
@@ -194,7 +188,7 @@ class TestDecodeRoundtrip:
         # four coded equations: rank 4 of 5
         for s in (1, 2, 3, 4):
             dec.push(0, 5, s, enc.encode(0, 5, s))
-        assert dec.range_rank(0, 5) == 4
+        assert dec._ranges[(0, 5)].rank == 4
         # a reordered original arrives and completes the range
         out = dec.push(2, 1, 0, enc.encode(2, 1, 0))
         got = dict(out)
@@ -225,9 +219,9 @@ class TestDecodeRoundtrip:
         register_all(enc, payloads)
         dec = RlncDecoder()
         dec.push(0, 4, 9, enc.encode(0, 4, 9))
-        assert dec.open_ranges() == [(0, 4)]
+        assert list(dec._ranges) == [(0, 4)]
         dec.expire_range(0, 4)
-        assert dec.open_ranges() == []
+        assert not dec._ranges
 
     def test_on_packet_callback(self):
         seen = []
@@ -269,14 +263,6 @@ class TestDecoderValidation:
         dec = RlncDecoder()
         with pytest.raises(ValueError):
             dec.push(0, 0, 0, b"xx")
-
-    def test_is_delivered(self):
-        enc = RlncEncoder()
-        enc.register(7, b"q")
-        dec = RlncDecoder()
-        assert not dec.is_delivered(7)
-        dec.push(7, 1, 0, enc.encode(7, 1, 0))
-        assert dec.is_delivered(7)
 
     def test_recent_retention_bounded(self):
         dec = RlncDecoder()

@@ -13,9 +13,7 @@ from repro.scenarios import (
     CampaignOutcome,
     DiffMatrix,
     Expectations,
-    OracleViolation,
     SCENARIOS,
-    assert_oracles,
     catalog_rows,
     evaluate_oracles,
     get_scenario,
@@ -132,12 +130,6 @@ class TestOracles:
             Expectations(require_nat_flush=True))}
         assert v["nat_consistency"].ok
 
-    def test_assert_oracles_names_the_breach(self):
-        with pytest.raises(OracleViolation, match="delivery_floor"):
-            assert_oracles(synthetic_report(delivery_ratio=0.0), None)
-        ok = assert_oracles(synthetic_report(), None)
-        assert len(ok) == len(ORACLES)
-
 
 class TestZooCatalog:
     def test_ten_named_scenarios(self):
@@ -187,12 +179,6 @@ class TestZooRuns:
         b = run_scenario("reorder_storm", seed=3, smoke=True, sanitize=True)
         assert a.digest == b.digest
         assert a.passed and b.passed
-
-    def test_result_as_dict_is_jsonable(self):
-        res = run_scenario("bandwidth_cliff", seed=1, smoke=True)
-        doc = json.loads(json.dumps(res.as_dict()))
-        assert doc["scenario"] == "bandwidth_cliff"
-        assert len(doc["verdicts"]) == len(ORACLES)
 
 
 class TestPopDrainMigration:
@@ -317,13 +303,11 @@ class TestDiff:
         m = run_diff("nat_churn", seed=3, duration=1.5,
                      transports=("cellfusion", "mptcp"))
         assert isinstance(m, DiffMatrix)
-        assert m.transports == ("cellfusion", "mptcp")
+        assert [r.transport for r in m.results] == ["cellfusion", "mptcp"]
         grid = m.verdict_grid()
         assert set(grid) == {"cellfusion", "mptcp"}
         for t in grid:
             assert set(grid[t]) == set(ORACLE_NAMES)
-        assert isinstance(m.passed("cellfusion"), bool)
-        json.dumps(m.as_dict())  # JSON-able
 
     def test_diff_html_report(self, tmp_path):
         from repro.analysis.report import (

@@ -76,7 +76,6 @@ class TestPathManager:
         m = PathManager([make_path(1), make_path(0)])
         assert [p.path_id for p in m] == [0, 1]
         assert m.get(1).path_id == 1
-        assert len(m) == 2
 
     def test_duplicate_rejected(self):
         m = PathManager([make_path(0)])

@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.runner import run_stream
 from repro.sanitizer import SanitizerViolation
+from repro.sanitizer import stateguard
 from repro.sanitizer.core import ProtocolSanitizer
 from repro.sanitizer.stateguard import (
     NULL_STATE_GUARD,
@@ -27,7 +28,6 @@ from repro.sanitizer.stateguard import (
     register_global,
     registered_globals,
     state_guard_or_default,
-    unregister_global,
 )
 
 _MOD = "tests._stateguard_target"
@@ -40,7 +40,7 @@ def target():
     mod._STATE = {"a": 1}
     sys.modules[_MOD] = mod
     yield mod
-    unregister_global(_MOD, "_STATE")
+    stateguard._REGISTRY.pop((_MOD, "_STATE"), None)
     del sys.modules[_MOD]
 
 

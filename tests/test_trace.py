@@ -52,13 +52,6 @@ class TestLinkTrace:
         trace = LinkTrace("t", opps, duration=10.0)
         assert trace.mean_capacity_mbps == pytest.approx(12.0, rel=0.01)
 
-    def test_capacity_series(self):
-        opps = opportunities_from_rate(12.0, 4.0)
-        trace = LinkTrace("t", opps, duration=4.0)
-        series = trace.capacity_series(1.0)
-        assert len(series) == 4
-        assert series.mean() == pytest.approx(12.0, rel=0.05)
-
     def test_validation(self):
         with pytest.raises(TraceError):
             LinkTrace("t", np.array([0.5]), duration=0.0)

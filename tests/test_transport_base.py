@@ -80,7 +80,7 @@ class TestClientFlow:
             client.send_app_packet(b"data")
         loop.run_until(2.0)
         path = client.paths.get(0)
-        assert path.rtt.has_samples
+        assert path.rtt.samples > 0
         # ~2x base_delay (10 ms each way) plus queueing/ack delay
         assert 0.015 < path.rtt.smoothed_rtt < 0.2
 
@@ -90,7 +90,7 @@ class TestClientFlow:
         for _ in range(50):
             client.send_app_packet(b"y" * 800)
         assert client.stats.ingress_dropped > 0
-        assert client.backlog_packets <= 10
+        assert len(client._queue) <= 10
 
     def test_cc_loss_fires_on_black_hole(self):
         loop, emu, client, server, received = build_world(loss=LossProcess.constant(1.0))
@@ -149,11 +149,11 @@ class TestServerBehaviour:
         # sent — a deliberate out-of-band stimulus, not a protocol bug
         loop, emu, client, server, received = build_world(sanitize=False)
         # send the same QUIC packet twice by direct emulator injection
-        from repro.quic.packet import QuicPacket
+        from repro.quic.packet import TUNNEL_OVERHEAD, QuicPacket
         frame = XncNcFrame.original(0, frame_payload(b"dup"))
         pkt = QuicPacket(path_id=0, packet_number=0, frames=[frame])
-        emu.send_uplink(0, pkt, pkt.wire_size)
-        emu.send_uplink(0, pkt, pkt.wire_size)
+        emu.send_uplink(0, pkt, TUNNEL_OVERHEAD + frame.wire_size)
+        emu.send_uplink(0, pkt, TUNNEL_OVERHEAD + frame.wire_size)
         loop.run_until(1.0)
         assert server.duplicates == 1
         assert len(received) == 1  # app-level dedup too
@@ -215,7 +215,7 @@ def _burst_rig(transport, as_bursts):
         probes[frame_id] = {
             "first_paths": [w[0] for w in wire[before:before + 8]],
             "sent_now": len(wire) - before,
-            "backlog": client.backlog_packets,
+            "backlog": len(client._queue),
             "usable": [p.is_usable(loop.now) for p in client.paths],
         }
 

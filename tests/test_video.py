@@ -15,10 +15,10 @@ from repro.video.receiver import FrameRecord, VideoReceiver
 from repro.video.source import (
     PACKET_HEADER,
     VideoConfig,
-    VideoPacket,
     VideoPacketError,
     VideoSource,
     build_packet,
+    parse_header,
 )
 
 
@@ -39,21 +39,21 @@ class TestVideoConfig:
 class TestPacketFormat:
     def test_roundtrip(self):
         raw = build_packet(7, 3, 10, True, 1.25, 200)
-        pkt = VideoPacket.parse(raw)
-        assert (pkt.frame_id, pkt.seq, pkt.count) == (7, 3, 10)
-        assert pkt.keyframe
-        assert pkt.capture_ts == pytest.approx(1.25)
+        frame_id, seq, count, keyframe, capture_ts = parse_header(raw)
+        assert (frame_id, seq, count) == (7, 3, 10)
+        assert keyframe
+        assert capture_ts == pytest.approx(1.25)
         assert len(raw) == 200
 
     def test_bad_magic(self):
         raw = bytearray(build_packet(1, 0, 1, False, 0.0, 50))
         raw[0] ^= 0xFF
         with pytest.raises(VideoPacketError):
-            VideoPacket.parse(bytes(raw))
+            parse_header(bytes(raw))
 
     def test_short_packet(self):
         with pytest.raises(VideoPacketError):
-            VideoPacket.parse(b"xx")
+            parse_header(b"xx")
 
     def test_size_below_header_rejected(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ class TestVideoSource:
     def test_keyframes_every_gop(self):
         cfg = VideoConfig(bitrate_mbps=5.0, fps=30.0, gop=10, seed=3)
         _loop, _src, sent = self._run(cfg, 2.0)
-        keyframes = {VideoPacket.parse(p).frame_id for p, _f in sent if VideoPacket.parse(p).keyframe}
+        keyframes = {parse_header(p)[0] for p, _f in sent if parse_header(p)[3]}
         assert keyframes == {0, 10, 20, 30, 40, 50}
 
     def test_keyframes_larger(self):
@@ -93,9 +93,9 @@ class TestVideoSource:
         _loop, _src, sent = self._run(cfg, 2.0)
         sizes = {}
         for p, _f in sent:
-            pkt = VideoPacket.parse(p)
-            sizes.setdefault(pkt.frame_id, [0, pkt.keyframe])
-            sizes[pkt.frame_id][0] += len(p)
+            frame_id, _seq, _count, keyframe, _ts = parse_header(p)
+            sizes.setdefault(frame_id, [0, keyframe])
+            sizes[frame_id][0] += len(p)
         key = [s for s, k in sizes.values() if k]
         pfr = [s for s, k in sizes.values() if not k]
         assert min(key) > max(pfr)
@@ -105,11 +105,11 @@ class TestVideoSource:
         _loop, _src, sent = self._run(cfg, 1.0)
         by_frame = {}
         for p, _f in sent:
-            pkt = VideoPacket.parse(p)
-            by_frame.setdefault(pkt.frame_id, []).append(pkt)
+            frame_id, seq, count, _key, _ts = parse_header(p)
+            by_frame.setdefault(frame_id, []).append((seq, count))
         for frame_id, pkts in by_frame.items():
-            count = pkts[0].count
-            assert sorted(p.seq for p in pkts) == list(range(count))
+            count = pkts[0][1]
+            assert sorted(seq for seq, _count in pkts) == list(range(count))
 
 
 class TestVideoReceiver:
@@ -241,8 +241,3 @@ class TestAnalyzeQoe:
         report = analyze_qoe(frames, 30.0, 1.0)
         assert report.avg_fps == pytest.approx(30.0)
         assert report.stall_time > 1.0  # the 2 s startup hole
-
-    def test_as_row(self):
-        frames = [frame(i, complete_at=i / 30.0 + 0.05) for i in range(30)]
-        row = analyze_qoe(frames, 30.0, 1.0).as_row()
-        assert set(row) == {"fps", "stall_ratio_pct", "ssim"}

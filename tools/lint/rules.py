@@ -198,19 +198,19 @@ class TelemetryGuardRule(Rule):
     """Telemetry hot-path calls must sit behind the null-singleton guard.
 
     The disabled-overhead budget (tools/check_overhead.py)
-    assumes every ``tel.event/count/observe/set_gauge`` call site is
+    assumes every ``tel.event/count/observe`` call site is
     guarded by ``if tel.enabled:`` (or an enclosing ``is not None`` check
     on an optional handle), so the disabled cost is one branch — an
     unguarded site pays kwargs construction even when telemetry is off.
     """
 
     id = "telemetry-guard"
-    description = ("telemetry event/count/observe/set_gauge calls need an "
+    description = ("telemetry event/count/observe calls need an "
                    "enclosing 'if tel.enabled:' (or 'is not None') guard")
     scopes = SIM_SCOPE
     exempt = ("src/repro/obs/",)
 
-    _METHODS = {"event", "count", "observe", "set_gauge"}
+    _METHODS = {"event", "count", "observe"}
 
     def _is_telemetry_receiver(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Name):

@@ -139,7 +139,7 @@ class ExceptHygieneRule(ProjectRule):
 
     _RECORDERS = {
         # telemetry surface
-        "count", "event", "observe", "set_gauge",
+        "count", "event", "observe",
         # logging surface
         "debug", "info", "warning", "error", "exception", "critical", "log",
         # sanitizer breach reporting
